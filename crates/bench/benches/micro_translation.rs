@@ -1,11 +1,11 @@
 //! Micro-benchmarks (ablation) of the core mechanisms: TLB hits, local vs.
-//! remote page walks, native vs. replicated PTE updates and whole-tree
-//! replication.
+//! remote page walks, ranged shootdowns, native vs. replicated PTE updates
+//! and whole-tree replication.
 //!
-//! These are not paper figures; they quantify the design choices called out
-//! in DESIGN.md (2N-reference eager updates, replica-ring lookups, walk cost
-//! asymmetry) and guard against performance regressions in the simulator
-//! itself.
+//! These are not paper figures; they quantify the design choices the paper
+//! argues for (2N-reference eager updates, replica-ring lookups, walk cost
+//! asymmetry, shootdowns that cost the pages they name) and guard against
+//! performance regressions in the simulator itself.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mitosis::{replicate_tree, MitosisPvOps};
@@ -13,7 +13,8 @@ use mitosis_mem::FrameKind;
 use mitosis_mmu::{Mmu, PteCacheSet};
 use mitosis_numa::{CoreId, MachineConfig, NodeMask, SocketId};
 use mitosis_pt::{
-    Mapper, NativePvOps, PageSize, PtEnv, Pte, PteFlags, PvOps, ReplicationSpec, VirtAddr,
+    Mapper, MappingTx, NativePvOps, PageSize, PtEnv, Pte, PteFlags, PvOps, ReplicationSpec,
+    VirtAddr,
 };
 use std::time::Duration;
 
@@ -110,6 +111,46 @@ fn bench_walks(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+/// One-page ranged shootdown against a full L1 + L2 TLB: the common CoW
+/// plan.  It probes only the named page's sets, so its cost must not grow
+/// with the TLB's size.
+fn bench_shootdown(c: &mut Criterion) {
+    let mut group = c.benchmark_group("micro/shootdown");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+
+    let machine = MachineConfig::paper_testbed_scaled().build();
+    let cost = machine.cost_model().clone();
+    let (mut env, roots, addrs) = build_tree(4096);
+
+    group.bench_function("ranged_page_full_tlb", |b| {
+        let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
+        let mut caches = PteCacheSet::for_machine(&machine);
+        for &addr in &addrs[..2048] {
+            mmu.access(
+                addr,
+                false,
+                roots.base(),
+                &mut env.store,
+                &env.frames,
+                &cost,
+                caches.socket(SocketId::new(0)),
+            );
+        }
+        let capacity = 64 + 1024;
+        assert_eq!(mmu.tlb().occupancy(), capacity, "L1 and L2 are full");
+        let mut tx = MappingTx::new();
+        tx.invalidate_page(0, addrs[2047], PageSize::Base4K);
+        let plan = tx.take_plan();
+        assert_eq!(mmu.apply_shootdown(&plan), 2, "the page sat in L1 and L2");
+        b.iter(|| mmu.apply_shootdown(&plan));
+        assert_eq!(mmu.tlb().occupancy(), capacity - 2);
+    });
     group.finish();
 }
 
@@ -261,6 +302,7 @@ fn bench_tree_replication(c: &mut Criterion) {
 criterion_group!(
     micro,
     bench_walks,
+    bench_shootdown,
     bench_translation_throughput,
     bench_pte_updates,
     bench_tree_replication

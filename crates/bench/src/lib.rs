@@ -1,9 +1,9 @@
 //! Shared helpers for the figure and table harnesses.
 //!
 //! Each benchmark target in `benches/` regenerates one figure or table of
-//! the Mitosis paper (see DESIGN.md for the experiment index).  The targets
-//! are ordinary `main` programs (`harness = false`) that print a text version
-//! of the figure, except for the micro-benchmarks which use Criterion.
+//! the Mitosis paper.  The targets are ordinary `main` programs
+//! (`harness = false`) that print a text version of the figure, except for
+//! the micro-benchmarks which use Criterion.
 //!
 //! Run a single harness with, for example:
 //!

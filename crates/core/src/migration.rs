@@ -65,7 +65,8 @@ pub fn migrate_page_table(
             }
         }
         for (table, _) in visited {
-            for replica in ctx.frames.replicas_of(table) {
+            let ring: Vec<_> = ctx.frames.replica_ring(table).collect();
+            for replica in ring {
                 if ctx.frames.socket_of(replica) == target {
                     continue;
                 }

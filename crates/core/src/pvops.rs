@@ -17,7 +17,7 @@
 //!   walker used, so reads consolidate them with a logical OR across the
 //!   ring and clears reset every replica (paper §5.4).
 
-use mitosis_mem::{FrameId, FrameKind};
+use mitosis_mem::{FrameId, FrameKind, FrameTable};
 use mitosis_numa::SocketId;
 use mitosis_pt::{Level, PtContext, PtError, PtOpStats, Pte, PvOps, ReplicationSpec};
 
@@ -60,7 +60,7 @@ impl MitosisPvOps {
     /// Translates `pte` for the replica living on `replica_socket`: entries
     /// pointing at page-table pages are redirected to the same-socket child
     /// replica (when one exists); leaf/data entries are copied verbatim.
-    fn pte_for_replica(&mut self, ctx: &PtContext<'_>, pte: Pte, replica_socket: SocketId) -> Pte {
+    fn pte_for_replica(&mut self, frames: &FrameTable, pte: Pte, replica_socket: SocketId) -> Pte {
         if !pte.is_present() || pte.is_huge() {
             return pte;
         }
@@ -68,10 +68,10 @@ impl MitosisPvOps {
             Some(frame) => frame,
             None => return pte,
         };
-        match ctx.frames.kind(target) {
+        match frames.kind(target) {
             Some(FrameKind::PageTable { .. }) => {
                 self.stats.replica_ring_reads += 1;
-                match ctx.frames.replica_on_socket(target, replica_socket) {
+                match frames.replica_on_socket(target, replica_socket) {
                     Some(replica_child) => pte.with_frame(replica_child),
                     None => pte,
                 }
@@ -112,7 +112,7 @@ impl PvOps for MitosisPvOps {
     }
 
     fn release_table(&mut self, ctx: &mut PtContext<'_>, frame: FrameId) -> Result<(), PtError> {
-        let ring = ctx.frames.replicas_of(frame);
+        let ring: Vec<FrameId> = ctx.frames.replica_ring(frame).collect();
         for member in ring {
             ctx.store.remove_table(member);
             ctx.frames.remove(member);
@@ -126,15 +126,14 @@ impl PvOps for MitosisPvOps {
         // The written table itself is the replica of its own socket: child
         // pointers are localised to keep every socket's tree self-contained.
         let own_socket = ctx.frames.socket_of(table);
-        let own = self.pte_for_replica(ctx, pte, own_socket);
+        let own = self.pte_for_replica(ctx.frames, pte, own_socket);
         ctx.store.write(table, index, own);
         self.stats.pte_writes += 1;
         // Propagate to every other replica in the ring.
-        let ring = ctx.frames.replicas_of(table);
-        self.stats.replica_ring_reads += (ring.len() - 1) as u64;
-        for replica in ring.into_iter().skip(1) {
+        for replica in ctx.frames.replica_ring(table).skip(1) {
+            self.stats.replica_ring_reads += 1;
             let replica_socket = ctx.frames.socket_of(replica);
-            let translated = self.pte_for_replica(ctx, pte, replica_socket);
+            let translated = self.pte_for_replica(ctx.frames, pte, replica_socket);
             ctx.store.write(replica, index, translated);
             self.stats.replica_pte_writes += 1;
         }
@@ -148,7 +147,7 @@ impl PvOps for MitosisPvOps {
         // Consolidate accessed/dirty bits across the ring (logical OR).
         let mut accessed = pte.flags().accessed;
         let mut dirty = pte.flags().dirty;
-        for replica in ctx.frames.replicas_of(table).into_iter().skip(1) {
+        for replica in ctx.frames.replica_ring(table).skip(1) {
             let other = ctx.store.read(replica, index);
             accessed |= other.flags().accessed;
             dirty |= other.flags().dirty;
@@ -164,7 +163,7 @@ impl PvOps for MitosisPvOps {
     }
 
     fn clear_accessed_dirty(&mut self, ctx: &mut PtContext<'_>, table: FrameId, index: usize) {
-        for replica in ctx.frames.replicas_of(table) {
+        for replica in ctx.frames.replica_ring(table) {
             let pte = ctx.store.read(replica, index);
             if pte.is_present() {
                 ctx.store.write(replica, index, pte.with_ad_cleared());
@@ -209,7 +208,7 @@ mod tests {
             .alloc_table(&mut ctx, Level::L4, SocketId::new(1), &all_sockets())
             .unwrap();
         assert_eq!(ctx.frames.socket_of(primary), SocketId::new(1));
-        let ring = ctx.frames.replicas_of(primary);
+        let ring = ctx.frames.replica_ring(primary).collect::<Vec<_>>();
         assert_eq!(ring.len(), 2);
         let sockets: Vec<usize> = ring
             .iter()
@@ -232,7 +231,7 @@ mod tests {
                 &ReplicationSpec::none(),
             )
             .unwrap();
-        assert_eq!(ctx.frames.replicas_of(frame).len(), 1);
+        assert_eq!(ctx.frames.replica_ring(frame).count(), 1);
         assert!(!ctx.frames.is_replicated(frame));
     }
 
@@ -247,7 +246,7 @@ mod tests {
         let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
         ctx.frames.insert(data, FrameKind::Data);
         ops.set_pte(&mut ctx, table, 42, Pte::new(data, PteFlags::user_data()));
-        for replica in ctx.frames.replicas_of(table) {
+        for replica in ctx.frames.replica_ring(table) {
             assert_eq!(ctx.store.read(replica, 42).frame(), Some(data));
         }
         assert_eq!(ops.stats().pte_writes, 1);
@@ -271,7 +270,7 @@ mod tests {
             3,
             Pte::new(child, PteFlags::table_pointer()),
         );
-        for replica in ctx.frames.replicas_of(parent) {
+        for replica in ctx.frames.replica_ring(parent) {
             let socket = ctx.frames.socket_of(replica);
             let entry = ctx.store.read(replica, 3);
             let pointed = entry.frame().unwrap();
@@ -294,7 +293,7 @@ mod tests {
         let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
         ops.set_pte(&mut ctx, table, 7, Pte::new(data, PteFlags::user_data()));
         ops.set_pte(&mut ctx, table, 7, Pte::EMPTY);
-        for replica in ctx.frames.replicas_of(table) {
+        for replica in ctx.frames.replica_ring(table) {
             assert!(!ctx.store.read(replica, 7).is_present());
         }
     }
@@ -313,8 +312,7 @@ mod tests {
         // Hardware sets the dirty bit in the *other* replica only.
         let other = ctx
             .frames
-            .replicas_of(table)
-            .into_iter()
+            .replica_ring(table)
             .find(|f| *f != table)
             .unwrap();
         let hw_pte = ctx.store.read(other, 5).with_accessed().with_dirty();
@@ -325,7 +323,7 @@ mod tests {
         assert!(read.flags().dirty);
         // Clearing resets every replica.
         ops.clear_accessed_dirty(&mut ctx, table, 5);
-        for replica in ctx.frames.replicas_of(table) {
+        for replica in ctx.frames.replica_ring(table) {
             let pte = ctx.store.read(replica, 5);
             assert!(!pte.flags().accessed && !pte.flags().dirty);
         }
@@ -339,7 +337,7 @@ mod tests {
         let table = ops
             .alloc_table(&mut ctx, Level::L3, SocketId::new(0), &all_sockets())
             .unwrap();
-        let ring = ctx.frames.replicas_of(table);
+        let ring: Vec<FrameId> = ctx.frames.replica_ring(table).collect();
         ops.release_table(&mut ctx, table).unwrap();
         for member in ring {
             assert!(!ctx.store.contains(member));

@@ -95,7 +95,7 @@ pub fn replicate_tree(
     // Pass 1: make sure every table has a replica frame on every requested
     // socket (children must exist before parents can point at them).
     for (table, level) in &tree {
-        let mut ring = ctx.frames.replicas_of(*table);
+        let mut ring: Vec<FrameId> = ctx.frames.replica_ring(*table).collect();
         let mut extended = false;
         for socket in &sockets {
             if ring
@@ -134,7 +134,7 @@ pub fn replicate_tree(
         // ring may include the table itself, whose child pointers get
         // localised in place.
         for (index, pte) in ctx.store.present_entries(*table) {
-            for replica in ctx.frames.replicas_of(*table) {
+            for replica in ctx.frames.replica_ring(*table) {
                 let socket = ctx.frames.socket_of(replica);
                 let translated = pte_for_socket(ctx, pte, socket);
                 ctx.store.write(replica, index, translated);
@@ -170,7 +170,8 @@ pub fn tear_down_replicas(
     let tree = collect_tree(ctx, roots.base());
     let mut freed = 0;
     for (table, _) in &tree {
-        for replica in ctx.frames.replicas_of(*table) {
+        let ring: Vec<FrameId> = ctx.frames.replica_ring(*table).collect();
+        for replica in ring {
             if replica == *table {
                 continue;
             }

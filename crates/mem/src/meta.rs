@@ -251,7 +251,7 @@ impl FrameTable {
     /// Links `frames` into a circular replica list.  Each frame's
     /// `replica_next` points to the next frame, and the last points back to
     /// the first.  A single frame forms a self-loop, which is treated as
-    /// "not replicated" by [`Self::replicas_of`].
+    /// "not replicated" by [`Self::replica_ring`].
     ///
     /// # Panics
     ///
@@ -268,8 +268,7 @@ impl FrameTable {
     /// Removes `frame` from its replica ring, patching the ring around it.
     /// Returns the remaining ring members (excluding `frame`).
     pub fn unlink_replica(&mut self, frame: FrameId) -> Vec<FrameId> {
-        let ring = self.replicas_of(frame);
-        let remaining: Vec<FrameId> = ring.into_iter().filter(|f| *f != frame).collect();
+        let remaining: Vec<FrameId> = self.replica_ring(frame).filter(|f| *f != frame).collect();
         if let Some(meta) = self.get_mut(frame) {
             meta.replica_next = None;
         }
@@ -279,29 +278,36 @@ impl FrameTable {
         remaining
     }
 
-    /// Returns every member of `frame`'s replica ring, starting with `frame`
-    /// itself.  A non-replicated frame yields just `[frame]`.
-    pub fn replicas_of(&self, frame: FrameId) -> Vec<FrameId> {
-        let mut out = vec![frame];
-        let mut cursor = frame;
-        while let Some(next) = self.get(cursor).and_then(|m| m.replica_next) {
-            if next == frame {
-                break;
-            }
-            out.push(next);
-            cursor = next;
+    /// Walks `frame`'s replica ring without allocating, starting with
+    /// `frame` itself and following `replica_next` until the ring closes.
+    /// A non-replicated frame yields just `frame`.
+    ///
+    /// The iterator borrows the table, so a caller that changes the ring
+    /// while walking it collects the members first.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics if the ring runs past 64 members without
+    /// returning to `frame` (a corrupted ring).
+    pub fn replica_ring(&self, frame: FrameId) -> impl Iterator<Item = FrameId> + '_ {
+        let mut hops = 0;
+        std::iter::successors(Some(frame), move |&member| {
+            let next = self
+                .get(member)
+                .and_then(|m| m.replica_next)
+                .filter(|&next| next != frame)?;
+            hops += 1;
             assert!(
-                out.len() <= 64,
+                hops < 64,
                 "replica ring longer than the maximum socket count; corrupted ring?"
             );
-        }
-        out
+            Some(next)
+        })
     }
 
     /// Returns the replica of `frame` that lives on `socket`, if any.
     pub fn replica_on_socket(&self, frame: FrameId, socket: SocketId) -> Option<FrameId> {
-        self.replicas_of(frame)
-            .into_iter()
+        self.replica_ring(frame)
             .find(|f| self.space.socket_of(*f) == socket)
     }
 
@@ -405,7 +411,7 @@ mod tests {
         t.link_replicas(&frames);
         let slice = t.clone_ranges(&[FrameRange::new(FrameId::new(0), FrameId::new(100))]);
         assert!(slice.is_replicated(frames[0]));
-        assert_eq!(slice.replicas_of(frames[0]).len(), 2);
+        assert_eq!(slice.replica_ring(frames[0]).count(), 2);
     }
 
     #[test]
@@ -419,7 +425,7 @@ mod tests {
         t.link_replicas(&frames);
         for &f in &frames {
             assert!(t.is_replicated(f));
-            let ring = t.replicas_of(f);
+            let ring: Vec<FrameId> = t.replica_ring(f).collect();
             assert_eq!(ring.len(), 4);
             assert_eq!(ring[0], f);
         }
@@ -435,7 +441,7 @@ mod tests {
         t.insert(FrameId::new(7), FrameKind::PageTable { level: 1 });
         t.link_replicas(&[FrameId::new(7)]);
         assert!(!t.is_replicated(FrameId::new(7)));
-        assert_eq!(t.replicas_of(FrameId::new(7)), vec![FrameId::new(7)]);
+        assert!(t.replica_ring(FrameId::new(7)).eq([FrameId::new(7)]));
     }
 
     #[test]
@@ -450,7 +456,7 @@ mod tests {
         remaining.sort();
         assert_eq!(remaining, vec![frames[0], frames[2]]);
         assert!(!t.is_replicated(frames[1]));
-        assert_eq!(t.replicas_of(frames[0]).len(), 2);
+        assert_eq!(t.replica_ring(frames[0]).count(), 2);
         assert_eq!(
             t.replica_on_socket(frames[0], SocketId::new(1)),
             None,
@@ -473,6 +479,72 @@ mod tests {
             1
         );
         assert_eq!(t.count_on_socket(SocketId::new(0), FrameKind::Data), 1);
+    }
+
+    /// The pre-iterator ring walk: collect every member into a vector.
+    fn reference_ring(t: &FrameTable, frame: FrameId) -> Vec<FrameId> {
+        let mut out = vec![frame];
+        let mut cursor = frame;
+        while let Some(next) = t.get(cursor).and_then(|m| m.replica_next) {
+            if next == frame {
+                break;
+            }
+            out.push(next);
+            cursor = next;
+            assert!(out.len() <= 64, "corrupted ring");
+        }
+        out
+    }
+
+    #[test]
+    fn replica_ring_matches_the_collecting_walk() {
+        for members in 1..=4u64 {
+            let mut t = table();
+            let frames: Vec<FrameId> = (0..members).map(|s| FrameId::new(s * 1000 + 3)).collect();
+            for &f in &frames {
+                t.insert(f, FrameKind::PageTable { level: 1 });
+            }
+            t.link_replicas(&frames);
+            for &f in &frames {
+                let ring: Vec<FrameId> = t.replica_ring(f).collect();
+                assert_eq!(ring, reference_ring(&t, f), "{members} members, from {f:?}");
+                assert_eq!(ring.len(), members as usize);
+            }
+            // Unlinking one member leaves both the survivors' ring and the
+            // unlinked frame's singleton walk in agreement.
+            let gone = frames[frames.len() / 2];
+            t.unlink_replica(gone);
+            for &f in &frames {
+                let ring: Vec<FrameId> = t.replica_ring(f).collect();
+                assert_eq!(ring, reference_ring(&t, f), "after unlink, from {f:?}");
+            }
+            assert!(t.replica_ring(gone).eq([gone]));
+        }
+        // The longest legal ring, one replica per possible socket.
+        let mut t = table();
+        let frames: Vec<FrameId> = (0..64).map(FrameId::new).collect();
+        for &f in &frames {
+            t.insert(f, FrameKind::PageTable { level: 1 });
+        }
+        t.link_replicas(&frames);
+        assert!(t.replica_ring(frames[9]).eq(reference_ring(&t, frames[9])));
+        // An untracked frame walks as a singleton.
+        let t = table();
+        assert!(t.replica_ring(FrameId::new(42)).eq([FrameId::new(42)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "replica ring longer than the maximum socket count")]
+    fn corrupted_replica_ring_panics() {
+        let mut t = table();
+        let [start, a, b] = [1u64, 2, 3].map(FrameId::new);
+        for f in [start, a, b] {
+            t.insert(f, FrameKind::PageTable { level: 1 });
+        }
+        // `a` and `b` form a cycle that `start` leads into but never closes.
+        t.link_replicas(&[a, b]);
+        t.get_mut(start).unwrap().replica_next = Some(a);
+        let _ = t.replica_ring(start).count();
     }
 
     #[test]

@@ -289,6 +289,20 @@ impl<V> LruMap<V> {
         self.len += 1;
     }
 
+    /// Removes `key`, returning `true` if it was resident.  O(1); the
+    /// recency order of the other entries is unchanged.
+    pub fn remove(&mut self, key: u64) -> bool {
+        let Some(pos) = self.probe(key) else {
+            return false;
+        };
+        let slot = self.index[pos];
+        self.index_remove(pos);
+        self.unlink(slot);
+        self.free.push(slot);
+        self.len -= 1;
+        true
+    }
+
     /// Removes every entry whose key fails `keep`, preserving the recency
     /// order of the survivors.  O(len) — meant for rare invalidations
     /// (table freed or migrated), not the access path.
@@ -306,6 +320,18 @@ impl<V> LruMap<V> {
             }
             cursor = next;
         }
+    }
+
+    /// Resident keys, most recently used first.
+    #[cfg(test)]
+    pub fn keys_by_recency(&self) -> Vec<u64> {
+        let mut keys = Vec::with_capacity(self.len);
+        let mut cursor = self.head;
+        while cursor != NIL {
+            keys.push(self.slots[cursor as usize].key);
+            cursor = self.slots[cursor as usize].next;
+        }
+        keys
     }
 
     /// Drops every entry.
@@ -408,6 +434,9 @@ mod tests {
                     *v
                 })
             }
+            fn remove(&mut self, key: u64) -> bool {
+                self.map.remove(&key).is_some()
+            }
             fn insert(&mut self, key: u64, value: u64) {
                 self.tick += 1;
                 if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
@@ -436,12 +465,13 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             let key = state % 37; // heavy key reuse
-            match state % 3 {
+            match state % 4 {
                 0 => assert_eq!(lru.get(key).copied(), reference.get(key), "step {step}"),
                 1 => {
                     lru.insert(key, step);
                     reference.insert(key, step);
                 }
+                2 => assert_eq!(lru.remove(key), reference.remove(key), "step {step}"),
                 _ => {
                     let was_resident = reference.map.contains_key(&key);
                     reference.insert(key, step);

@@ -185,11 +185,6 @@ impl Mmu {
         self.stats = MmuStats::default();
     }
 
-    /// Models a TLB shootdown of a single page in address space `asid`.
-    pub fn shootdown_page(&mut self, asid: u16, addr: VirtAddr, size: PageSize) {
-        self.tlb.flush_page(asid, addr.align_down(size), size);
-    }
-
     /// Models a broadcast full-flush shootdown.
     pub fn shootdown_all(&mut self) {
         self.context_switch();
@@ -363,7 +358,13 @@ mod tests {
             &cost(),
             &mut pte_cache,
         );
-        mmu.shootdown_page(0, addr, PageSize::Base4K);
+        // A one-page plan naming the neighbouring page leaves it resident.
+        let mut tx = mitosis_pt::MappingTx::new();
+        tx.invalidate_page(0, addr.add(4096), PageSize::Base4K);
+        assert_eq!(mmu.apply_shootdown(&tx.take_plan()), 0);
+        assert_eq!(mmu.tlb().occupancy(), 2);
+        tx.invalidate_page(0, addr, PageSize::Base4K);
+        assert_eq!(mmu.apply_shootdown(&tx.take_plan()), 2);
         let after = mmu.access(
             addr,
             false,

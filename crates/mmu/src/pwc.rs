@@ -40,7 +40,16 @@ impl LevelCache {
 
     /// Drops every entry whose key falls in `[key_start, key_end]`.
     /// Returns the number of entries removed.
+    ///
+    /// A key span smaller than the resident count removes the covered keys
+    /// one by one; a wider one filters the whole cache.  Either way the
+    /// survivors keep their recency order, so later victims are the same.
     fn invalidate_keys(&mut self, key_start: u64, key_end: u64) -> usize {
+        if (key_end - key_start).saturating_add(1) < self.entries.len() as u64 {
+            return (key_start..=key_end)
+                .filter(|&key| self.entries.remove(key))
+                .count();
+        }
         let mut removed = 0;
         self.entries.retain(|key, _| {
             let dead = key >= key_start && key <= key_end;
@@ -229,6 +238,56 @@ mod tests {
         assert!(pwc.walk_start(outside).is_some());
         // An empty range removes nothing.
         assert_eq!(pwc.invalidate_range(outside, outside), 0);
+    }
+
+    #[test]
+    fn direct_key_invalidation_matches_retain() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for round in 0..500 {
+            let mut fast = LevelCache::new(32);
+            for _ in 0..next(80) {
+                let key = next(64);
+                if next(2) == 0 {
+                    fast.insert(key, FrameId::new(key));
+                } else {
+                    fast.lookup(key);
+                }
+            }
+            let mut reference = fast.clone();
+            // Spans on both sides of the resident count.
+            let key_start = next(64);
+            let key_end = key_start + next(40);
+            let dead = |key: u64| (key_start..=key_end).contains(&key);
+            let before = reference.entries.len();
+            reference.entries.retain(|key, _| !dead(key));
+            assert_eq!(
+                fast.invalidate_keys(key_start, key_end),
+                before - reference.entries.len(),
+                "round {round}"
+            );
+            assert_eq!(
+                fast.entries.keys_by_recency(),
+                reference.entries.keys_by_recency(),
+                "round {round}: survivors and their order"
+            );
+            // Refills evict the same victims.
+            for _ in 0..40 {
+                let key = next(128);
+                fast.insert(key, FrameId::new(key));
+                reference.insert(key, FrameId::new(key));
+            }
+            assert_eq!(
+                fast.entries.keys_by_recency(),
+                reference.entries.keys_by_recency(),
+                "round {round}: after refill"
+            );
+        }
     }
 
     #[test]

@@ -62,6 +62,9 @@ const INVALID_TAG: u64 = 0;
 /// leaving the top 16 bits free for the ASID.
 const ASID_SHIFT: u32 = 48;
 
+/// One past the largest virtual page number a tag can hold.
+const VPN_LIMIT: u64 = 1 << (ASID_SHIFT - 2);
+
 #[inline]
 fn size_code(size: PageSize) -> u64 {
     match size {
@@ -208,24 +211,15 @@ impl Tlb {
         self.per_size = [0; 3];
     }
 
-    /// Invalidates the entry covering `addr` at `size` in address space
-    /// `asid`, if present (`invlpg`).
-    pub fn flush_page(&mut self, asid: u16, addr: VirtAddr, size: PageSize) {
-        let vpn = addr.page_number(size);
-        let tag = tag_of(asid, vpn, size);
-        let start = self.set_start(vpn);
-        for way in start..start + self.ways {
-            if self.tags[way] == tag {
-                self.tags[way] = INVALID_TAG;
-                self.last_used[way] = 0;
-                self.per_size[(tag & 3) as usize - 1] -= 1;
-            }
-        }
-    }
-
     /// Invalidates every entry of `size` in address space `asid` whose
     /// virtual page number falls in `[vpn_start, vpn_start + pages)`
-    /// (a ranged shootdown).  Returns the number of entries invalidated.
+    /// (a ranged shootdown; `pages == 1` is `invlpg`).  Returns the number
+    /// of entries invalidated.
+    ///
+    /// A range narrower than the set count probes only the sets of the
+    /// named pages — `pages × ways` tag compares — instead of scanning the
+    /// whole array.  A tag lives only in its own set and at most once, so
+    /// both paths invalidate exactly the same entries.
     pub fn invalidate_range(
         &mut self,
         asid: u16,
@@ -237,8 +231,21 @@ impl Tlb {
         if self.per_size[code as usize - 1] == 0 {
             return 0;
         }
-        let asid_bits = (asid as u64) << ASID_SHIFT;
         let vpn_end = vpn_start.saturating_add(pages);
+        if pages < self.sets as u64 && vpn_end <= VPN_LIMIT {
+            let mut removed = 0;
+            for vpn in vpn_start..vpn_end {
+                let tag = tag_of(asid, vpn, size);
+                let start = self.set_start(vpn);
+                let set_tags = &self.tags[start..start + self.ways];
+                if let Some(way) = set_tags.iter().position(|&t| t == tag) {
+                    self.invalidate_way(start + way);
+                    removed += 1;
+                }
+            }
+            return removed;
+        }
+        let asid_bits = (asid as u64) << ASID_SHIFT;
         let mut removed = 0;
         for way in 0..self.tags.len() {
             let tag = self.tags[way];
@@ -248,15 +255,20 @@ impl Tlb {
             {
                 continue;
             }
-            let vpn = (tag >> 2) & ((1u64 << (ASID_SHIFT - 2)) - 1);
+            let vpn = (tag >> 2) & (VPN_LIMIT - 1);
             if vpn >= vpn_start && vpn < vpn_end {
-                self.tags[way] = INVALID_TAG;
-                self.last_used[way] = 0;
-                self.per_size[code as usize - 1] -= 1;
+                self.invalidate_way(way);
                 removed += 1;
             }
         }
         removed
+    }
+
+    #[inline]
+    fn invalidate_way(&mut self, way: usize) {
+        self.per_size[(self.tags[way] & 3) as usize - 1] -= 1;
+        self.tags[way] = INVALID_TAG;
+        self.last_used[way] = 0;
     }
 
     /// Number of lookups that hit.
@@ -362,13 +374,6 @@ impl TlbHierarchy {
         self.l2.flush();
     }
 
-    /// Flushes one page from every level.
-    pub fn flush_page(&mut self, asid: u16, addr: VirtAddr, size: PageSize) {
-        self.l1_4k.flush_page(asid, addr, size);
-        self.l1_2m.flush_page(asid, addr, size);
-        self.l2.flush_page(asid, addr, size);
-    }
-
     /// Invalidates `[vpn_start, vpn_start + pages)` of `size` for `asid`
     /// from every level; returns the number of entries removed.
     pub fn invalidate_range(
@@ -471,11 +476,11 @@ mod tests {
     }
 
     #[test]
-    fn flush_page_removes_only_that_page() {
+    fn one_page_invalidation_removes_only_that_page() {
         let mut tlb = Tlb::new(64, 4);
         put(&mut tlb, va(1), PageSize::Base4K, FrameId::new(1));
         put(&mut tlb, va(2), PageSize::Base4K, FrameId::new(2));
-        tlb.flush_page(0, va(1), PageSize::Base4K);
+        assert_eq!(tlb.invalidate_range(0, 1, 1, PageSize::Base4K), 1);
         assert_eq!(get(&mut tlb, va(1), PageSize::Base4K), None);
         assert!(get(&mut tlb, va(2), PageSize::Base4K).is_some());
     }
@@ -551,11 +556,8 @@ mod tests {
             FrameId::new(9),
         );
         assert!(!tlb.holds(PageSize::Base4K), "4 KiB entry was evicted");
-        tlb.flush_page(
-            0,
-            VirtAddr::new(0x4000_0000 + (4u64 << 21)),
-            PageSize::Huge2M,
-        );
+        let vpn = VirtAddr::new(0x4000_0000 + (4u64 << 21)).page_number(PageSize::Huge2M);
+        assert_eq!(tlb.invalidate_range(0, vpn, 1, PageSize::Huge2M), 1);
         assert_eq!(tlb.occupancy(), 3);
         tlb.flush();
         assert!(!tlb.holds(PageSize::Huge2M));
@@ -587,7 +589,7 @@ mod tests {
         );
         assert_eq!(tlb.lookup(3, va(5), PageSize::Base4K, false), None);
         // Flushing one ASID's page leaves the other's intact.
-        tlb.flush_page(1, va(5), PageSize::Base4K);
+        tlb.invalidate_range(1, 5, 1, PageSize::Base4K);
         assert_eq!(tlb.lookup(1, va(5), PageSize::Base4K, false), None);
         assert!(tlb.lookup(2, va(5), PageSize::Base4K, false).is_some());
     }
@@ -640,6 +642,91 @@ mod tests {
             .is_some());
         // Empty size classes short-circuit.
         assert_eq!(tlb.invalidate_range(1, 0, 1000, PageSize::Giant1G), 0);
+    }
+
+    /// The full-array scan every ranged invalidation used to run.
+    fn reference_invalidate(
+        tlb: &mut Tlb,
+        asid: u16,
+        vpn_start: u64,
+        pages: u64,
+        size: PageSize,
+    ) -> usize {
+        let target = |tag: u64| {
+            tag != INVALID_TAG
+                && tag & 3 == size_code(size)
+                && tag >> ASID_SHIFT == asid as u64
+                && ((tag >> 2) & (VPN_LIMIT - 1)).wrapping_sub(vpn_start) < pages
+        };
+        let mut removed = 0;
+        for way in 0..tlb.tags.len() {
+            if target(tlb.tags[way]) {
+                tlb.invalidate_way(way);
+                removed += 1;
+            }
+        }
+        removed
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % bound
+        }
+    }
+
+    fn assert_same_state(fast: &Tlb, reference: &Tlb, what: &str) {
+        assert_eq!(fast.tags, reference.tags, "{what}: tags");
+        assert_eq!(fast.last_used, reference.last_used, "{what}: recency");
+        assert_eq!(fast.per_size, reference.per_size, "{what}: per_size");
+    }
+
+    #[test]
+    fn set_indexed_invalidation_matches_the_full_scan() {
+        const SIZES: [PageSize; 3] = [PageSize::Base4K, PageSize::Huge2M, PageSize::Giant1G];
+        let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
+        // 16 sets, 128 sets, and 12 sets (not a power of two).
+        for (entries, ways) in [(64, 4), (1024, 8), (48, 4)] {
+            for round in 0..40 {
+                let mut fast = Tlb::new(entries, ways);
+                let vpn_span = 4 * entries as u64;
+                for _ in 0..2 * entries {
+                    let size = SIZES[rng.below(3) as usize];
+                    let asid = rng.below(3) as u16;
+                    let vpn = rng.below(vpn_span);
+                    let addr = VirtAddr::new(vpn * size.bytes());
+                    fast.insert(asid, addr, size, FrameId::new(vpn), rng.below(2) == 0);
+                }
+                let mut reference = fast.clone();
+                let what = format!("{entries}x{ways} round {round}");
+                for _ in 0..8 {
+                    let size = SIZES[rng.below(3) as usize];
+                    let asid = rng.below(3) as u16;
+                    // Ranges on both sides of the set count.
+                    let pages = 1 + rng.below(2 * fast.sets as u64);
+                    let vpn_start = rng.below(vpn_span);
+                    assert_eq!(
+                        fast.invalidate_range(asid, vpn_start, pages, size),
+                        reference_invalidate(&mut reference, asid, vpn_start, pages, size),
+                        "{what}: removed count"
+                    );
+                    assert_same_state(&fast, &reference, &what);
+                }
+                // Refills pick the same ways and evict the same victims.
+                for _ in 0..entries {
+                    let size = SIZES[rng.below(3) as usize];
+                    let asid = rng.below(3) as u16;
+                    let addr = VirtAddr::new(rng.below(vpn_span) * size.bytes());
+                    fast.insert(asid, addr, size, FrameId::new(1), true);
+                    reference.insert(asid, addr, size, FrameId::new(1), true);
+                    assert_same_state(&fast, &reference, &what);
+                }
+            }
+        }
     }
 
     #[test]

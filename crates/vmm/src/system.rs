@@ -743,7 +743,7 @@ impl System {
             .frame()
             .expect("the freed base pages hung off an L1 table");
         if ranged {
-            for member in ctx.frames.replicas_of(l1) {
+            for member in ctx.frames.replica_ring(l1) {
                 self.pending.evict_table(member);
             }
         }

@@ -78,7 +78,7 @@ proptest! {
         prop_assert_eq!(Pte::from_bits(pte.to_bits()), pte);
     }
 
-    /// After flushing a page, the TLB never returns a stale translation for
+    /// After flushing a page (a one-page ranged invalidation), the TLB never returns a stale translation for
     /// it, while unrelated entries — including the same page under a
     /// different ASID — survive or miss, but never alias.
     #[test]
@@ -95,7 +95,7 @@ proptest! {
             tlb.insert(other_asid, VirtAddr::new(page * 4096), PageSize::Base4K, FrameId::new(*page + 10_000), true);
         }
         let victim_page = pages[victim % pages.len()];
-        tlb.flush_page(asid, VirtAddr::new(victim_page * 4096), PageSize::Base4K);
+        tlb.invalidate_range(asid, victim_page, 1, PageSize::Base4K);
         prop_assert_eq!(tlb.lookup(asid, VirtAddr::new(victim_page * 4096), PageSize::Base4K, false), None);
         // Any other page — in either address space — either hits with the
         // right frame or was evicted; it must never return the wrong frame.
