@@ -34,8 +34,8 @@ fn params() -> SimParams {
     SimParams::quick_test().with_accesses(ACCESSES)
 }
 
-/// A cold serial replay: fresh session, setup re-executed — the cost the
-/// legacy `replay_trace` entry point paid on every call.
+/// A cold serial replay: fresh session, setup re-executed — the cost a
+/// one-shot replay pays on every call.
 fn cold_serial(trace: &Trace, params: &SimParams) -> mitosis_trace::ReplayOutcome {
     ReplaySession::new(params)
         .replay(trace, &ReplayRequest::new())
@@ -330,7 +330,7 @@ fn bench_pool(c: &mut Criterion) {
 
     let partial = ReplayRequest::new()
         .grouped(4)
-        .snapshots(SnapshotMode::Partial);
+        .snapshots(SnapshotMode::Auto);
     let mut partial_session = ReplaySession::new(&params);
     partial_session
         .replay(&trace, &partial)

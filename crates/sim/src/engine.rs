@@ -379,15 +379,21 @@ impl ExecutionEngine {
         params: &SimParams,
     ) -> Result<RunMetrics, VmError> {
         let mut streams = Self::thread_streams(spec, params, threads.len());
-        self.run_with_sources(
+        self.run_with_sources_dynamic(
             system,
+            &mut Mitosis::new(),
             pid,
             spec,
             region,
             threads,
             params.accesses_per_thread,
             &mut streams,
+            &PhaseSchedule::new(),
         )
+        .map_err(|err| match err {
+            MitosisError::Vm(vm) => vm,
+            other => unreachable!("empty schedule cannot raise a Mitosis error: {other}"),
+        })
     }
 
     /// The live access streams [`ExecutionEngine::run`] feeds its threads:
@@ -404,48 +410,6 @@ impl ExecutionEngine {
         (0..threads)
             .map(|index| AccessStream::new(spec, params.seed.wrapping_add(index as u64)))
             .collect()
-    }
-
-    /// Runs the measured phase feeding each thread from its own
-    /// [`AccessSource`] instead of a live [`AccessStream`].
-    ///
-    /// This is the entry point trace replay uses: a captured trace lane fed
-    /// through here reproduces the metrics of the live run that generated
-    /// it bit-for-bit.  `sources` must contain exactly one source per entry
-    /// in `threads`; each source must yield at least `accesses_per_thread`
-    /// accesses.
-    ///
-    /// # Errors
-    ///
-    /// Propagates page-fault handling errors (demand paging during the
-    /// measured phase is allowed and counted).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_sources<S: AccessSource>(
-        &mut self,
-        system: &mut System,
-        pid: Pid,
-        spec: &WorkloadSpec,
-        region: VirtAddr,
-        threads: &[ThreadPlacement],
-        accesses_per_thread: u64,
-        sources: &mut [S],
-    ) -> Result<RunMetrics, VmError> {
-        let mut mitosis = Mitosis::new();
-        self.run_with_sources_dynamic(
-            system,
-            &mut mitosis,
-            pid,
-            spec,
-            region,
-            threads,
-            accesses_per_thread,
-            sources,
-            &PhaseSchedule::new(),
-        )
-        .map_err(|err| match err {
-            MitosisError::Vm(vm) => vm,
-            other => unreachable!("empty schedule cannot raise a Mitosis error: {other}"),
-        })
     }
 
     /// Runs the measured phase with live per-thread streams and a schedule
@@ -996,49 +960,6 @@ impl ExecutionEngine {
         self.mmu_pool = mmus;
         Ok(SpanOutcome::Completed(metrics))
     }
-
-    /// Runs the measured phase from a [`PreparedSystem`] snapshot, leaving
-    /// the snapshot untouched: the snapshot is cloned and the clone is run
-    /// (and discarded), so the same snapshot can seed any number of runs —
-    /// serial re-runs, per-worker copies in parallel replay — each starting
-    /// from bit-identical prepared state.
-    ///
-    /// Metrics are bit-identical to calling
-    /// [`ExecutionEngine::run_with_sources_dynamic`] directly on a system
-    /// that just executed the same setup: a cloned snapshot *is* that
-    /// system.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ExecutionEngine::run_with_sources_dynamic`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_snapshot_with_sources<S: AccessSource>(
-        &mut self,
-        snapshot: &PreparedSystem,
-        spec: &WorkloadSpec,
-        threads: &[ThreadPlacement],
-        accesses_per_thread: u64,
-        sources: &mut [S],
-        schedule: &PhaseSchedule,
-    ) -> Result<RunMetrics, MitosisError> {
-        let mut prepared = snapshot.clone();
-        self.run_with_sources_dynamic(
-            &mut prepared.system,
-            &mut prepared.mitosis,
-            prepared.pid,
-            spec,
-            prepared.region,
-            threads,
-            accesses_per_thread,
-            sources,
-            schedule,
-        )
-    }
-
-    /// Merged MMU statistics helper (for tests).
-    pub fn merged_stats(metrics: &RunMetrics) -> &MmuStats {
-        &metrics.mmu
-    }
 }
 
 #[cfg(test)]
@@ -1234,10 +1155,14 @@ mod tests {
         let mut engine = ExecutionEngine::new(&snapshot.system);
         for _ in 0..2 {
             let mut sources = ExecutionEngine::thread_streams(&spec, &params, threads.len());
+            let mut run = snapshot.clone();
             let from_snapshot = engine
-                .run_snapshot_with_sources(
-                    &snapshot,
+                .run_with_sources_dynamic(
+                    &mut run.system,
+                    &mut run.mitosis,
+                    run.pid,
                     &spec,
+                    run.region,
                     &threads,
                     params.accesses_per_thread,
                     &mut sources,

@@ -227,8 +227,9 @@ fn run_and_record(
 /// engine-level experiment shape) while capturing it.
 ///
 /// The returned trace records the full setup — process creation, the lazy
-/// mmap, first-touch population — so [`replay_trace`](crate::replay_trace)
-/// can reconstruct the run from nothing but the trace and `params`.
+/// mmap, first-touch population — so
+/// [`ReplaySession::replay`](crate::ReplaySession::replay) can reconstruct
+/// the run from nothing but the trace and `params`.
 ///
 /// # Errors
 ///
@@ -245,9 +246,8 @@ pub fn capture_engine_run(
 ///
 /// The engine applies the schedule at its access-count boundaries during
 /// the measured phase; every fired event lands in each lane as a mid-lane
-/// marker at the exact access index, so
-/// [`replay_trace`](crate::replay_trace) re-applies it at the same boundary
-/// and the replayed metrics stay bit-identical.  When the schedule contains
+/// marker at the exact access index, so replay re-applies it at the same
+/// boundary and the replayed metrics stay bit-identical.  When the schedule contains
 /// page-table operations (replica add/drop, page-table migration), the
 /// capture installs the Mitosis backend and records that as a setup event.
 ///
@@ -358,8 +358,8 @@ pub fn capture_engine_run_dynamic(
 /// `params.threads_per_socket` threads run on every socket (the paper's
 /// machines run many threads per socket, not one), so the captured trace
 /// carries `sockets × threads_per_socket` lanes — the multi-lane-per-socket
-/// shape the per-socket lane groups of
-/// [`replay_parallel_lanes`](crate::replay_parallel_lanes) shard.
+/// shape the per-socket lane groups of a grouped
+/// [`ReplaySession`](crate::ReplaySession) replay shard.
 ///
 /// # Errors
 ///

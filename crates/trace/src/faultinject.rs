@@ -18,11 +18,12 @@
 //!   the I/O-level faults; [`TraceReader::with_faults`] /
 //!   [`TraceWriter::with_faults`](crate::TraceWriter::with_faults) build
 //!   codecs over them directly.
-//! * The parallel lane driver consults the process-wide
-//!   [`env_plan`] for worker panics and delays (see
-//!   [`replay_parallel_lanes`](crate::replay_parallel_lanes)); injected
-//!   worker faults exercise the catch-unwind/retry/serial-degradation
-//!   machinery end to end.
+//! * Grouped [`ReplaySession`](crate::ReplaySession) replays consult the
+//!   process-wide [`env_plan`] for worker panics and delays (unless the
+//!   request carries its own
+//!   [`ReplayRequest::fault_plan`](crate::ReplayRequest::fault_plan));
+//!   injected worker faults exercise the catch-unwind/retry/
+//!   serial-degradation machinery end to end.
 //!
 //! Every injected fault is counted on the observer (`fault.*` counters),
 //! so an observed run shows exactly which faults fired.

@@ -1,6 +1,6 @@
 //! Deterministic trace replay.
 //!
-//! [`replay_trace`] rebuilds the captured experiment from scratch — a fresh
+//! Replay rebuilds the captured experiment from scratch — a fresh
 //! [`System`], the recorded setup events applied in order, one
 //! [`LaneCursor`] per captured thread — and drives the existing
 //! [`ExecutionEngine`] with it.  Mid-lane phase-change markers are lifted
@@ -8,14 +8,12 @@
 //! boundaries.  Because the engine is fed the exact access sequence the
 //! capture recorded (and the substrate is fully deterministic), the
 //! replayed [`RunMetrics`] are bit-identical to the live run's — for
-//! static *and* dynamic captures.
+//! static *and* dynamic captures.  [`ReplaySession`](crate::ReplaySession)
+//! is the entry point; this module holds the layer beneath it.
 //!
-//! [`TraceReplayer`] is the reusable form: it keeps one [`ExecutionEngine`]
-//! (pooled MMUs, allocated caches) across replays, resetting it per trace,
-//! which shaves the per-run setup cost that dominates for short traces.
-//! [`replay_trace_lane`] replays a single lane of a trace against its own
-//! freshly reconstructed system — the building block of lane-granular
-//! parallel replay.
+//! [`TraceReplayer`] keeps one [`ExecutionEngine`] (pooled MMUs, allocated
+//! caches) across replays, resetting it per trace, which shaves the
+//! per-run setup cost that dominates for short traces.
 //!
 //! Replay is split into *prepare* and *run*: [`prepare_replay`] executes
 //! the header checks and setup events once, producing a cloneable
@@ -27,7 +25,6 @@
 //! to prepare once and fan copies out to its workers.
 
 use crate::format::{MachineFingerprint, Trace, TraceError, TraceEvent, TraceLane};
-use crate::session::{ReplayRequest, ReplaySession};
 use mitosis::{Mitosis, MitosisError};
 use mitosis_mem::{FragmentationModel, PlacementPolicy};
 use mitosis_numa::{Interference, NodeMask, SocketId};
@@ -136,7 +133,7 @@ impl AccessSource for LaneCursor<'_> {
     }
 }
 
-/// Knobs for [`replay_trace_with`].
+/// The machine-check option of [`prepare_replay`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayOptions {
     /// Proceed when the trace's recorded machine fingerprint does not match
@@ -222,8 +219,8 @@ pub struct ReplayOutcome {
     /// measured-phase rate by folding setup reconstruction in.
     pub measured_wall: Duration,
     /// Whether the whole trace ran, or only a salvaged prefix of a damaged
-    /// one ([`TraceReplayer::replay_salvaged`]).  Plain replay entry points
-    /// always report [`ReplayCompleteness::Complete`].
+    /// one ([`ReplaySession::replay_bytes`](crate::ReplaySession::replay_bytes)
+    /// with [`ReplayRequest::salvage`](crate::ReplayRequest::salvage)).
     pub completeness: ReplayCompleteness,
 }
 
@@ -341,8 +338,8 @@ fn schedule_of_lanes(lanes: &[TraceLane]) -> Result<PhaseSchedule, ReplayError> 
 /// system with every setup event applied, ready to run lanes.
 ///
 /// Produced once per trace by [`prepare_replay`], then *cloned* into every
-/// run that needs it — serial re-runs, one copy per lane group in
-/// [`replay_parallel_lanes`](crate::replay_parallel_lanes) — instead of
+/// run that needs it — serial re-runs, one copy per lane group of a
+/// grouped [`ReplaySession`](crate::ReplaySession) replay — instead of
 /// re-executing the setup events per run.  The clone is a deep copy of the
 /// full simulated state (see [`PreparedSystem`]), so running from a clone
 /// is bit-identical to running after a fresh setup replay; it merely costs
@@ -485,140 +482,11 @@ impl ReplaySnapshot {
     }
 }
 
-/// Replays `trace` on a fresh system built from `params` and returns the
-/// reproduced metrics.
-///
-/// `params` must describe the same machine the capture ran on: the machine
-/// fingerprint recorded in the trace header is checked against the one
-/// `params` builds, and a mismatch is rejected (a mismatched machine would
-/// silently produce different metrics).  Use [`replay_trace_with`] and
-/// [`ReplayOptions::force_machine`] to override.  The access count and seed
-/// are taken from the trace itself.
-///
-/// # Errors
-///
-/// Fails if the machine fingerprint does not match, the trace references an
-/// unknown workload, its events cannot be applied (e.g. an access lane
-/// precedes process creation), or a VM / Mitosis operation fails.
-#[deprecated(note = "use `ReplaySession::replay` with the default `ReplayRequest`")]
-pub fn replay_trace(trace: &Trace, params: &SimParams) -> Result<ReplayOutcome, ReplayError> {
-    Ok(ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay(trace, &ReplayRequest::new())?
-        .outcome)
-}
-
-/// [`replay_trace`] with explicit [`ReplayOptions`].
-///
-/// # Errors
-///
-/// Same conditions as [`replay_trace`]; the machine-fingerprint check is
-/// downgraded to a stderr warning when `options.force_machine` is set.
-#[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::force_machine` as needed")]
-pub fn replay_trace_with(
-    trace: &Trace,
-    params: &SimParams,
-    options: ReplayOptions,
-) -> Result<ReplayOutcome, ReplayError> {
-    Ok(ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay(trace, &request_of_options(options))?
-        .outcome)
-}
-
-/// The [`ReplayRequest`] equivalent of legacy [`ReplayOptions`] — shared by
-/// the deprecated wrappers.
-fn request_of_options(options: ReplayOptions) -> ReplayRequest {
-    if options.force_machine {
-        ReplayRequest::new().force_machine()
-    } else {
-        ReplayRequest::new()
-    }
-}
-
-/// Replays trace `bytes`, salvaging a damaged stream to its longest
-/// checkpoint-attested prefix instead of giving up; see
-/// [`TraceReplayer::replay_salvaged`].
-///
-/// # Errors
-///
-/// Same conditions as [`TraceReplayer::replay_salvaged`].
-#[deprecated(note = "use `ReplaySession::replay_bytes` with `ReplayRequest::salvage`")]
-pub fn replay_trace_salvaged(
-    bytes: &[u8],
-    params: &SimParams,
-    options: ReplayOptions,
-) -> Result<ReplayOutcome, ReplayError> {
-    Ok(ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay_bytes(bytes, &request_of_options(options).salvage())?
-        .outcome)
-}
-
-/// Replays a single lane of `trace` on its own freshly reconstructed
-/// system and returns that lane's per-thread metrics.
-///
-/// The full setup (and the mid-lane phase-change schedule) is replayed
-/// exactly as for a whole-trace replay; only the selected lane's accesses
-/// run.  When the trace's lanes are independent — distinct sockets, no
-/// demand faults — merging every lane's metrics with
-/// [`RunMetrics::merge`] reproduces the whole-trace replay bit-for-bit;
-/// the lane-granular parallel driver verifies those conditions.
-///
-/// # Errors
-///
-/// Same conditions as [`replay_trace`], plus a mismatch for an
-/// out-of-range lane index.
-#[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::lane`")]
-pub fn replay_trace_lane(
-    trace: &Trace,
-    params: &SimParams,
-    options: ReplayOptions,
-    lane: usize,
-) -> Result<ReplayOutcome, ReplayError> {
-    Ok(ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay(trace, &request_of_options(options).lane(lane))?
-        .outcome)
-}
-
-/// Replays a subset of `trace`'s lanes — in lane order, against one
-/// freshly reconstructed system — and returns their merged metrics.
-///
-/// This is the unit of work of the per-socket lane groups in
-/// [`replay_parallel_lanes`](crate::replay_parallel_lanes): lanes sharing
-/// a socket interact through that socket's page-table-line cache, so they
-/// must replay *together* and in lane order to reproduce the whole-trace
-/// replay; lanes on other sockets touch disjoint caches and may replay in
-/// other groups.  Mid-lane phase changes are re-applied at the same
-/// boundaries; changes staggered onto lanes outside `lanes` still mutate
-/// the system (keeping its evolution identical to the whole-trace replay)
-/// without any selected lane observing them.
-///
-/// # Errors
-///
-/// Same conditions as [`replay_trace`], plus a mismatch for an empty
-/// selection, an out-of-range lane index, or a selection that is not
-/// strictly increasing (group replay is order-sensitive, so a shuffled
-/// selection would silently diverge).
-#[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::lanes`")]
-pub fn replay_trace_lanes(
-    trace: &Trace,
-    params: &SimParams,
-    options: ReplayOptions,
-    lanes: &[usize],
-) -> Result<ReplayOutcome, ReplayError> {
-    Ok(ReplaySession::new(params)
-        .without_snapshot_cache()
-        .replay(trace, &request_of_options(options).lanes(lanes.to_vec()))?
-        .outcome)
-}
-
 /// A reusable replay driver: keeps one [`ExecutionEngine`] (pooled MMUs,
 /// allocated per-socket caches) across replays and resets it per trace, so
 /// batch replay does not pay the engine construction cost per trace.
 ///
-/// Metrics are bit-identical to one-shot [`replay_trace`] calls: a reset
+/// Metrics are bit-identical to a replay on a fresh replayer: a reset
 /// engine is indistinguishable from a fresh one.
 #[derive(Debug, Default)]
 pub struct TraceReplayer {
@@ -659,39 +527,7 @@ impl TraceReplayer {
         &self.observer
     }
 
-    /// Replays `trace` (strict machine check); see [`replay_trace`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace`].
-    #[deprecated(note = "use `ReplaySession::replay` with the default `ReplayRequest`")]
-    pub fn replay(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        self.replay_full(trace, params, ReplayOptions::default())
-    }
-
-    /// Replays `trace` with explicit options; see [`replay_trace_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace_with`].
-    #[deprecated(
-        note = "use `ReplaySession::replay` with `ReplayRequest::force_machine` as needed"
-    )]
-    pub fn replay_with(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-        options: ReplayOptions,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        self.replay_full(trace, params, options)
-    }
-
-    /// Prepare + run in one call — the non-deprecated body behind the
-    /// deprecated whole-trace entry points, and the per-trace unit of
+    /// Prepare + run in one call — the per-trace unit of
     /// [`ReplaySession::replay_batch`](crate::ReplaySession::replay_batch).
     pub(crate) fn replay_full(
         &mut self,
@@ -706,67 +542,16 @@ impl TraceReplayer {
         self.run_lanes(prepared, trace, None)
     }
 
-    /// Replays one lane of `trace`; see [`replay_trace_lane`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace_lane`].
-    #[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::lane`")]
-    pub fn replay_lane(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-        options: ReplayOptions,
-        lane: usize,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        self.replay_lanes_full(trace, params, options, &[lane])
-    }
-
-    /// Replays a subset of lanes in lane order against one reconstructed
-    /// system; see [`replay_trace_lanes`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace_lanes`].
-    #[deprecated(note = "use `ReplaySession::replay` with `ReplayRequest::lanes`")]
-    pub fn replay_lanes(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-        options: ReplayOptions,
-        lanes: &[usize],
-    ) -> Result<ReplayOutcome, ReplayError> {
-        self.replay_lanes_full(trace, params, options, lanes)
-    }
-
-    /// Prepare + run an explicit lane selection — the non-deprecated body
-    /// behind the deprecated lane entry points.
-    pub(crate) fn replay_lanes_full(
-        &mut self,
-        trace: &Trace,
-        params: &SimParams,
-        options: ReplayOptions,
-        lanes: &[usize],
-    ) -> Result<ReplayOutcome, ReplayError> {
-        validate_lane_selection(trace, lanes)?;
-        let prepared = {
-            let _span = self.observer.span("prepare_replay", self.track);
-            prepare_replay(trace, params, options)?
-        };
-        self.run_lanes(prepared, trace, Some(lanes))
-    }
-
     /// Replays all lanes of `trace` from a shared [`ReplaySnapshot`]: the
     /// snapshot is cloned (a deep copy of the prepared system) and the
     /// clone runs the measured phase, so the setup events are **not**
-    /// re-executed.  Metrics are bit-identical to [`TraceReplayer::replay`]
-    /// on the same trace; the outcome's `setup_wall` records only the clone
-    /// cost.
+    /// re-executed.  Metrics are bit-identical to a replay that re-executes
+    /// them; the outcome's `setup_wall` records only the clone cost.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`replay_trace`], plus a mismatch when `trace` is
-    /// not the trace the snapshot was prepared from.
+    /// A mismatch when `trace` is not the trace the snapshot was prepared
+    /// from, or a VM / Mitosis operation failing in the measured phase.
     pub fn replay_snapshot(
         &mut self,
         snapshot: &ReplaySnapshot,
@@ -787,8 +572,10 @@ impl TraceReplayer {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`replay_trace_lanes`], plus a mismatch when
-    /// `trace` is not the trace the snapshot was prepared from.
+    /// Same conditions as [`TraceReplayer::replay_snapshot`], plus a
+    /// mismatch for an empty selection, an out-of-range lane index, or a
+    /// selection that is not strictly increasing (group replay is
+    /// order-sensitive, so a shuffled selection would silently diverge).
     pub fn replay_snapshot_lanes(
         &mut self,
         snapshot: &ReplaySnapshot,
@@ -815,7 +602,7 @@ impl TraceReplayer {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`replay_trace`], plus a mismatch when `at` is at
+    /// Same conditions as [`prepare_replay`], plus a mismatch when `at` is at
     /// or past the per-lane access count (there is nothing left to resume).
     pub fn checkpoint_at(
         &mut self,
@@ -855,8 +642,7 @@ impl TraceReplayer {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`replay_trace`], plus a mismatch when `trace` is
-    /// not the trace the snapshot was prepared from.
+    /// Same conditions as [`TraceReplayer::replay_snapshot`].
     pub fn resume_from(
         &mut self,
         snapshot: &ReplaySnapshot,
@@ -871,43 +657,6 @@ impl TraceReplayer {
         match self.run_lanes_span(clone, trace, selection.as_deref(), None)? {
             LaneRun::Completed(outcome) => Ok(*outcome),
             LaneRun::Paused(_) => unreachable!("no stop boundary was requested"),
-        }
-    }
-
-    /// Replays trace `bytes`, salvaging a damaged stream instead of giving
-    /// up: intact bytes replay normally
-    /// ([`ReplayCompleteness::Complete`]); a stream that fails to decode is
-    /// recovered to its longest checkpoint-attested prefix
-    /// ([`Trace::recover`]) and that prefix replays, with the outcome
-    /// marked [`ReplayCompleteness::Salvaged`] so partial metrics can never
-    /// pass as whole-trace metrics.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`replay_trace_with`]; additionally the decode
-    /// error of `bytes` when no checkpoint-attested prefix exists to
-    /// salvage.
-    #[deprecated(note = "use `ReplaySession::replay_bytes` with `ReplayRequest::salvage`")]
-    pub fn replay_salvaged(
-        &mut self,
-        bytes: &[u8],
-        params: &SimParams,
-        options: ReplayOptions,
-    ) -> Result<ReplayOutcome, ReplayError> {
-        match Trace::from_bytes(bytes) {
-            Ok(trace) => self.replay_full(&trace, params, options),
-            Err(_) => {
-                let salvaged = Trace::recover(bytes)?;
-                let mut outcome = self.replay_full(&salvaged.trace, params, options)?;
-                outcome.completeness = ReplayCompleteness::Salvaged {
-                    valid_accesses: salvaged.valid_accesses,
-                    lost_accesses: salvaged.lost_accesses,
-                };
-                self.observer.counter("replay.salvaged", 1);
-                self.observer
-                    .counter("replay.salvaged_lost_accesses", salvaged.lost_accesses);
-                Ok(outcome)
-            }
         }
     }
 
@@ -1118,12 +867,20 @@ fn clone_snapshot(snapshot: &ReplaySnapshot) -> ReplaySnapshot {
 /// `prepare_replay` call, and the parallel driver clones the result per
 /// worker group instead of re-executing the setup events per worker.
 ///
+/// `params` must describe the same machine the capture ran on: the machine
+/// fingerprint recorded in the trace header is checked against the one
+/// `params` builds, and a mismatch is rejected (a mismatched machine would
+/// silently produce different metrics).  [`ReplayOptions::force_machine`]
+/// overrides the check.  The access count and seed are taken from the
+/// trace itself.
+///
 /// # Errors
 ///
 /// Fails if the machine fingerprint does not match (unless
 /// `options.force_machine`), the trace references an unknown workload, its
-/// events cannot be applied, its lanes are missing or unequal, or a VM /
-/// Mitosis operation fails.
+/// events cannot be applied (e.g. an access lane precedes process
+/// creation), its lanes are missing or unequal, or a VM / Mitosis
+/// operation fails.
 pub fn prepare_replay(
     trace: &Trace,
     params: &SimParams,
@@ -1384,6 +1141,7 @@ pub fn prepare_replay(
 mod tests {
     use super::*;
     use crate::format::{TraceLane, TraceMeta};
+    use crate::session::{ReplayRequest, ReplaySession};
     use mitosis_workloads::suite;
 
     fn replay_via_session(trace: &Trace, params: &SimParams) -> Result<ReplayOutcome, ReplayError> {

@@ -1,16 +1,9 @@
 //! The unified replay entry point: [`ReplaySession`] executes
 //! [`ReplayRequest`]s.
 //!
-//! Earlier revisions of this crate grew eleven public replay entry points
-//! (`replay_trace`, `replay_trace_with`, `replay_trace_lane`,
-//! `replay_trace_lanes`, `replay_trace_salvaged`, `replay_sequential`,
-//! `replay_parallel`, `replay_parallel_lanes`,
-//! `replay_parallel_lanes_observed`, `replay_parallel_lanes_faulted`, plus
-//! the `TraceReplayer` method zoo behind them), each a point in the same
-//! configuration space: which lanes, serial or grouped, how many workers,
-//! observed or not, fault-injected or not, salvage or strict.  A
-//! [`ReplaySession`] replaces them with one builder-described request
-//! executed against persistent state:
+//! A request is one point in the replay configuration space — which
+//! lanes, serial or grouped, how many workers, fault-injected or not,
+//! salvage or strict — executed against persistent session state:
 //!
 //! * a **persistent worker pool** — threads are spawned lazily, once, and
 //!   live across replay calls, each keeping a warm
@@ -32,8 +25,7 @@
 //!   a 2-core host is not asked to juggle 8 groups.
 //!
 //! Replayed metrics are bit-identical across every request shape — serial,
-//! grouped, merged, full or partial snapshots, warm or cold pool — and
-//! bit-identical to the deprecated entry points, which now delegate here.
+//! grouped, merged, full or partial snapshots, warm or cold pool.
 //!
 //! # Example
 //!
@@ -81,13 +73,11 @@ use std::time::{Duration, Instant};
 /// How a [`ReplayRequest`] executes the selected lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplayMode {
-    /// All selected lanes replay on the calling thread against one system
-    /// — the semantics of the old `replay_trace` / `replay_trace_lanes`.
+    /// All selected lanes replay on the calling thread against one system.
     #[default]
     Serial,
     /// Per-socket lane groups fan out across up to `workers` pool threads,
-    /// one unit per socket group — the semantics of the old
-    /// `replay_parallel_lanes`.
+    /// one unit per socket group.
     Grouped {
         /// Upper bound on concurrently working pool threads (must be
         /// nonzero).
@@ -106,10 +96,10 @@ pub enum ReplayMode {
 /// Partial (scoped) snapshots are an optimisation, never a correctness
 /// commitment: they are used only when the shardability analysis proves the
 /// run cannot leave the cloned slice (setup premaps every accessed page, no
-/// mid-lane phase changes).  Requesting [`SnapshotMode::Partial`] outside
-/// those conditions silently falls back to full clones, and the existing
-/// defence layers (worker panic isolation, the demand-fault serial re-run)
-/// backstop the proof itself.
+/// mid-lane phase changes).  Outside those conditions
+/// [`SnapshotMode::Auto`] silently falls back to full clones, and the
+/// existing defence layers (worker panic isolation, the demand-fault serial
+/// re-run) backstop the proof itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotMode {
     /// Partial snapshots whenever provably safe, full clones otherwise.
@@ -117,9 +107,6 @@ pub enum SnapshotMode {
     Auto,
     /// Always deep-copy the whole prepared system.
     Full,
-    /// Prefer partial snapshots; identical to [`SnapshotMode::Auto`] today,
-    /// spelled out for tests that compare the two paths.
-    Partial,
 }
 
 /// A builder-style description of one replay: which lanes, serial or
@@ -127,7 +114,7 @@ pub enum SnapshotMode {
 /// fault injection.
 ///
 /// The default request replays every lane serially with strict machine
-/// checking — the semantics of the old `replay_trace`.
+/// checking.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayRequest {
     lanes: Option<Vec<usize>>,
@@ -139,8 +126,10 @@ pub struct ReplayRequest {
 }
 
 impl ReplayRequest {
-    /// The default request: every lane, serial, strict machine check, full
-    /// snapshots, no salvage, fault plan from the environment.
+    /// The default request: every lane, serial, strict machine check,
+    /// [`SnapshotMode::Auto`] (scoped clones for grouped units whenever the
+    /// shardability analysis proves them safe), no salvage, fault plan from
+    /// the environment.
     pub fn new() -> Self {
         ReplayRequest::default()
     }
@@ -155,12 +144,6 @@ impl ReplayRequest {
     /// Replays a single lane.
     pub fn lane(self, lane: usize) -> Self {
         self.lanes(vec![lane])
-    }
-
-    /// Serial execution on the calling thread (the default).
-    pub fn serial(mut self) -> Self {
-        self.mode = ReplayMode::Serial;
-        self
     }
 
     /// Grouped execution across up to `workers` pool threads, one unit per
@@ -248,7 +231,6 @@ pub struct ReplaySession {
     observer: Observer,
     pool: ReplayPool,
     driver: TraceReplayer,
-    cache_enabled: bool,
     cache: Option<SessionCache>,
 }
 
@@ -270,19 +252,8 @@ impl ReplaySession {
             observer: Observer::none(),
             pool: ReplayPool::new(),
             driver: TraceReplayer::new(),
-            cache_enabled: true,
             cache: None,
         }
-    }
-
-    /// Disables the snapshot cache: every request re-prepares (and the
-    /// serial path consumes its snapshot without a clone) — the exact cost
-    /// model of the deprecated one-shot entry points, which build their
-    /// sessions this way.
-    pub fn without_snapshot_cache(mut self) -> Self {
-        self.cache_enabled = false;
-        self.cache = None;
-        self
     }
 
     /// Installs the observer all subsequent replays report spans, counters
@@ -308,20 +279,14 @@ impl ReplaySession {
         self.pool.threads_spawned()
     }
 
-    /// Drops the cached snapshot (if any); the next request re-prepares.
-    pub fn clear_snapshot_cache(&mut self) {
-        self.cache = None;
-    }
-
     /// Executes `request` against `trace` and returns the full report; the
     /// merged metrics are bit-identical for every request shape.
     ///
     /// # Errors
     ///
-    /// Fails when the trace cannot be prepared (machine mismatch, unknown
-    /// workload, malformed setup events — see the old `replay_trace`), when
-    /// the lane selection is invalid, or when a lane group fails even its
-    /// serial degradation replay.
+    /// Fails when the trace cannot be prepared (see [`prepare_replay`]),
+    /// when the lane selection is invalid, or when a lane group fails even
+    /// its serial degradation replay.
     ///
     /// # Panics
     ///
@@ -364,9 +329,8 @@ impl ReplaySession {
         };
         let groups = socket_groups(trace, &selected);
 
-        // Up-front shardability decision, exactly as the old driver made
-        // it: every reason to go serial is known before any job is
-        // submitted.
+        // Up-front shardability decision: every reason to go serial is
+        // known before any job is submitted.
         let serial_reason = if selected.len() < 2 {
             Some(ShardDecision::SingleLane)
         } else if workers < 2 {
@@ -381,7 +345,7 @@ impl ReplaySession {
         if let Some(decision) = serial_reason {
             return self.run_serial(
                 trace,
-                snapshot,
+                &snapshot,
                 request.lanes.as_deref(),
                 decision,
                 groups.len(),
@@ -392,9 +356,9 @@ impl ReplaySession {
         }
 
         // The units of fan-out: per-socket groups verbatim for an explicit
-        // worker count (preserving the old driver's group indexing for
-        // fault injection and observability tracks), merged down to the
-        // host's parallelism for Auto.
+        // worker count (group indices are what fault plans and
+        // observability tracks name), merged down to the host's parallelism
+        // for Auto.
         let units = match request.mode {
             ReplayMode::Auto => merge_groups(&groups, workers),
             _ => groups.clone(),
@@ -468,10 +432,10 @@ impl ReplaySession {
                 .counter("replay.group_failures", failures.len() as u64);
         }
 
-        // Graceful degradation, unchanged from the old driver: every unit
-        // whose worker gave up replays serially on the driver thread from
-        // the *full* shared snapshot (never a partial one — the failure may
-        // BE the partial slice), keeping the merged metrics complete.
+        // Graceful degradation: every unit whose worker gave up replays
+        // serially on the driver thread from the *full* shared snapshot
+        // (never a partial one — the failure may BE the partial slice),
+        // keeping the merged metrics complete.
         self.driver.set_observer(self.observer.clone());
         self.driver.set_observer_track(0);
         for failure in &mut failures {
@@ -500,7 +464,7 @@ impl ReplaySession {
             // and any worker failures are included.
             return self.run_serial(
                 trace,
-                snapshot,
+                &snapshot,
                 request.lanes.as_deref(),
                 ShardDecision::DemandFaultsObserved,
                 groups.len(),
@@ -585,15 +549,15 @@ impl ReplaySession {
     }
 
     /// Replays a batch of traces — serially in input order for
-    /// [`ReplayMode::Serial`], sharded across the pool otherwise (the
-    /// semantics of the old `replay_sequential` / `replay_parallel`).  The
-    /// request's lane selection and snapshot mode do not apply (each trace
-    /// replays whole, from its own freshly prepared system).
+    /// [`ReplayMode::Serial`], sharded across the pool otherwise.  Each
+    /// trace replays whole, from its own freshly prepared system, so the
+    /// request's snapshot mode does not apply.
     ///
     /// # Errors
     ///
-    /// Fails if any trace does not replay; the first error in input order
-    /// is returned.
+    /// A mismatch when the request selects lanes (a batch has no single
+    /// trace to select them from); otherwise fails if any trace does not
+    /// replay, returning the first error in input order.
     ///
     /// # Panics
     ///
@@ -604,6 +568,11 @@ impl ReplaySession {
         traces: &[Trace],
         request: &ReplayRequest,
     ) -> Result<ReplayReport, ReplayError> {
+        if request.lanes.is_some() {
+            return Err(ReplayError::Mismatch(
+                "batch replay cannot apply a lane selection (each trace replays whole)".into(),
+            ));
+        }
         let workers = match request.mode {
             ReplayMode::Serial => 1,
             ReplayMode::Grouped { workers } => {
@@ -689,26 +658,21 @@ impl ReplaySession {
         let shared_trace = Arc::new(trace.clone());
         let snapshot = Arc::new(snapshot);
         let analysis = Arc::new(analyse(trace));
-        if self.cache_enabled {
-            self.cache = Some(SessionCache {
-                trace: Arc::clone(&shared_trace),
-                snapshot: Arc::clone(&snapshot),
-                analysis: Arc::clone(&analysis),
-            });
-        }
+        self.cache = Some(SessionCache {
+            trace: Arc::clone(&shared_trace),
+            snapshot: Arc::clone(&snapshot),
+            analysis: Arc::clone(&analysis),
+        });
         Ok((shared_trace, snapshot, analysis, false))
     }
 
     /// The serial path: all selected lanes on the driver thread, one
-    /// system.  When the snapshot is not shared (cache off, nothing else
-    /// holding it) it is consumed without a clone — the exact cost model of
-    /// the old one-shot entry points; a shared snapshot runs from a clone,
-    /// bit-identically.
+    /// system, run from a clone of the shared snapshot.
     #[allow(clippy::too_many_arguments)]
     fn run_serial(
         &mut self,
         trace: &Trace,
-        snapshot: Arc<ReplaySnapshot>,
+        snapshot: &ReplaySnapshot,
         selection: Option<&[usize]>,
         decision: ShardDecision,
         groups: usize,
@@ -718,12 +682,9 @@ impl ReplaySession {
     ) -> Result<LaneReplayReport, ReplayError> {
         self.driver.set_observer(self.observer.clone());
         self.driver.set_observer_track(0);
-        let outcome = match Arc::try_unwrap(snapshot) {
-            Ok(owned) => self.driver.run_lanes(owned, trace, selection)?,
-            Err(shared) => match selection {
-                Some(lanes) => self.driver.replay_snapshot_lanes(&shared, trace, lanes)?,
-                None => self.driver.replay_snapshot(&shared, trace)?,
-            },
+        let outcome = match selection {
+            Some(lanes) => self.driver.replay_snapshot_lanes(snapshot, trace, lanes)?,
+            None => self.driver.replay_snapshot(snapshot, trace)?,
         };
         let setup_wall = outcome.setup_wall;
         let measured_wall = outcome.measured_wall;
@@ -862,8 +823,8 @@ fn unit_scope(
 }
 
 /// Builds the pool job replaying one unit: fault-injection consultation,
-/// bounded retries with backoff, panic isolation — the worker body of the
-/// old scoped-thread driver, now dispatched to a persistent worker.
+/// bounded retries with backoff, panic isolation — dispatched to a
+/// persistent worker.
 #[allow(clippy::too_many_arguments)]
 fn unit_job(
     trace: Arc<Trace>,
