@@ -1,6 +1,6 @@
 //! Micro-benchmarks (ablation) of the core mechanisms: TLB hits, local vs.
-//! remote page walks, ranged shootdowns, native vs. replicated PTE updates
-//! and whole-tree replication.
+//! remote page walks, ranged shootdowns, native vs. replicated PTE updates,
+//! whole-tree replication, and fork/copy-on-write under replication.
 //!
 //! These are not paper figures; they quantify the design choices the paper
 //! argues for (2N-reference eager updates, replica-ring lookups, walk cost
@@ -8,7 +8,7 @@
 //! performance regressions in the simulator itself.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mitosis::{replicate_tree, MitosisPvOps};
+use mitosis::{replicate_tree, Mitosis, MitosisPvOps};
 use mitosis_mem::FrameKind;
 use mitosis_mmu::{Mmu, PteCacheSet};
 use mitosis_numa::{CoreId, MachineConfig, NodeMask, SocketId};
@@ -16,6 +16,8 @@ use mitosis_pt::{
     Mapper, MappingTx, NativePvOps, PageSize, PtEnv, Pte, PteFlags, PvOps, ReplicationSpec,
     VirtAddr,
 };
+use mitosis_vmm::{MmapFlags, Pid, ShootdownMode, System};
+use std::cell::RefCell;
 use std::time::Duration;
 
 /// Builds a native page table with `pages` 4 KiB mappings on socket 0.
@@ -299,12 +301,99 @@ fn bench_tree_replication(c: &mut Criterion) {
     group.finish();
 }
 
+/// A process with `bytes` of populated 4 KiB pages whose page tables are
+/// replicated on both sockets of a two-socket machine, under ranged
+/// shootdowns: the `fork-churn` configuration.
+fn replicated_process(bytes: u64) -> (System, Pid, VirtAddr) {
+    let mitosis = Mitosis::new();
+    let mut system = mitosis.install(MachineConfig::two_socket_small().build());
+    system.set_shootdown_mode(ShootdownMode::Ranged);
+    let pid = system.create_process(SocketId::new(0)).expect("process");
+    let region = system
+        .mmap(pid, bytes, MmapFlags::populate().without_thp())
+        .expect("populated mmap");
+    let mut mitosis = mitosis;
+    mitosis
+        .enable_for_process(&mut system, pid, None)
+        .expect("replicate");
+    (system, pid, region)
+}
+
+/// The mutation path under 2-way replication:
+///
+/// * `fork_64mib_2way` — one fork of a 64 MiB process (16 384 leaves
+///   shared copy-on-write);
+/// * `break_fault` — the parent's first store to each of
+///   [`BREAKS`] shared pages scattered over a 16 MiB region: each store
+///   takes a copy-on-write break that copies the page, rewrites its leaf
+///   in both replicas and records a one-page shootdown, which is drained.
+///   One sample is all [`BREAKS`] breaks, so the figure divided by
+///   [`BREAKS`] is the steady-state cost of one break.
+///
+/// Each sample runs on a fresh clone of a prepared system; a sample's
+/// system is torn down in the next sample's (untimed) setup.
+fn bench_cow(c: &mut Criterion) {
+    let mut group = c.benchmark_group("micro/cow");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+
+    let retired = RefCell::new(None);
+    let fresh = |system: &System| {
+        retired.take();
+        system.clone()
+    };
+    let (system, pid, _) = replicated_process(64 << 20);
+    group.bench_function("fork_64mib_2way", |b| {
+        b.iter_batched(
+            || fresh(&system),
+            |mut system| {
+                system.fork(pid).expect("fork");
+                retired.replace(Some(system));
+            },
+            BatchSize::PerIteration,
+        );
+    });
+
+    const PAGES: u64 = 4096;
+    let (mut forked, pid, region) = replicated_process(PAGES * 4096);
+    forked.fork(pid).expect("fork");
+    // The fork's own downgrades are not part of the measured breaks.
+    forked.take_shootdown_plan();
+    let mut plan = mitosis_pt::ShootdownPlan::default();
+    group.bench_function("break_fault", |b| {
+        b.iter_batched(
+            || fresh(&forked),
+            |mut system| {
+                for i in 0..BREAKS {
+                    // An odd stride visits distinct pages across every L1
+                    // table of the region.
+                    let page = (i * 2039) % PAGES;
+                    let fault = system
+                        .handle_fault_access(pid, region.add(page * 4096), SocketId::new(0), true)
+                        .expect("copy-on-write break");
+                    system.drain_shootdown_plan(&mut plan);
+                    assert!(!fault.already_mapped && plan.pages() == 1);
+                }
+                retired.replace(Some(system));
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
+/// Copy-on-write breaks per `micro/cow/break_fault` sample.
+const BREAKS: u64 = 512;
+
 criterion_group!(
     micro,
     bench_walks,
     bench_shootdown,
     bench_translation_throughput,
     bench_pte_updates,
-    bench_tree_replication
+    bench_tree_replication,
+    bench_cow
 );
 criterion_main!(micro);

@@ -57,27 +57,31 @@ impl MitosisPvOps {
         Ok(frame)
     }
 
-    /// Translates `pte` for the replica living on `replica_socket`: entries
-    /// pointing at page-table pages are redirected to the same-socket child
-    /// replica (when one exists); leaf/data entries are copied verbatim.
-    fn pte_for_replica(&mut self, frames: &FrameTable, pte: Pte, replica_socket: SocketId) -> Pte {
+    /// The page-table page `pte` points at, if any.  Only such entries
+    /// differ between replicas; every other entry — leaves, and so every L1
+    /// entry — is byte-identical in all of them.
+    fn child_table(frames: &FrameTable, pte: Pte) -> Option<FrameId> {
         if !pte.is_present() || pte.is_huge() {
-            return pte;
+            return None;
         }
-        let target = match pte.frame() {
-            Some(frame) => frame,
-            None => return pte,
-        };
-        match frames.kind(target) {
-            Some(FrameKind::PageTable { .. }) => {
-                self.stats.replica_ring_reads += 1;
-                match frames.replica_on_socket(target, replica_socket) {
-                    Some(replica_child) => pte.with_frame(replica_child),
-                    None => pte,
-                }
-            }
-            _ => pte,
-        }
+        pte.frame()
+            .filter(|&target| matches!(frames.kind(target), Some(FrameKind::PageTable { .. })))
+    }
+
+    /// `pte`, which points at the page-table page `child`, as the replica
+    /// living on `replica_socket` must hold it: redirected to the child's
+    /// replica on that socket when one exists.
+    fn localised(
+        &mut self,
+        frames: &FrameTable,
+        pte: Pte,
+        child: FrameId,
+        replica_socket: SocketId,
+    ) -> Pte {
+        self.stats.replica_ring_reads += 1;
+        frames
+            .replica_on_socket(child, replica_socket)
+            .map_or(pte, |replica_child| pte.with_frame(replica_child))
     }
 }
 
@@ -123,17 +127,26 @@ impl PvOps for MitosisPvOps {
     }
 
     fn set_pte(&mut self, ctx: &mut PtContext<'_>, table: FrameId, index: usize, pte: Pte) {
+        // The target's kind does not depend on the replica, so it is looked
+        // up once per write, not once per ring member.
+        let child = Self::child_table(ctx.frames, pte);
         // The written table itself is the replica of its own socket: child
         // pointers are localised to keep every socket's tree self-contained.
-        let own_socket = ctx.frames.socket_of(table);
-        let own = self.pte_for_replica(ctx.frames, pte, own_socket);
+        let own = match child {
+            Some(child) => self.localised(ctx.frames, pte, child, ctx.frames.socket_of(table)),
+            None => pte,
+        };
         ctx.store.write(table, index, own);
         self.stats.pte_writes += 1;
         // Propagate to every other replica in the ring.
         for replica in ctx.frames.replica_ring(table).skip(1) {
             self.stats.replica_ring_reads += 1;
-            let replica_socket = ctx.frames.socket_of(replica);
-            let translated = self.pte_for_replica(ctx.frames, pte, replica_socket);
+            let translated = match child {
+                Some(child) => {
+                    self.localised(ctx.frames, pte, child, ctx.frames.socket_of(replica))
+                }
+                None => pte,
+            };
             ctx.store.write(replica, index, translated);
             self.stats.replica_pte_writes += 1;
         }
@@ -279,6 +292,42 @@ mod tests {
                 socket,
                 "replica on {socket} must point at its local child replica"
             );
+        }
+    }
+
+    #[test]
+    fn only_pointer_writes_pay_a_ring_lookup_per_replica() {
+        let machine = MachineConfig::paper_testbed_scaled().build();
+        for sockets in [2usize, 4] {
+            let mut env = PtEnv::new(&machine);
+            let mut ops = MitosisPvOps::new();
+            let mut ctx = env.context();
+            let repl = ReplicationSpec::on(NodeMask::all(sockets));
+            let parent = ops
+                .alloc_table(&mut ctx, Level::L2, SocketId::new(0), &repl)
+                .unwrap();
+            let child = ops
+                .alloc_table(&mut ctx, Level::L1, SocketId::new(0), &repl)
+                .unwrap();
+            let data = ctx.alloc.alloc_on(SocketId::new(0)).unwrap();
+            ctx.frames.insert(data, FrameKind::Data);
+            let others = sockets as u64 - 1;
+            // A leaf write reads the ring once per other replica.
+            ops.reset_stats();
+            ops.set_pte(&mut ctx, child, 0, Pte::new(data, PteFlags::user_data()));
+            assert_eq!(ops.stats().replica_ring_reads, others);
+            assert_eq!(ops.stats().replica_pte_writes, others);
+            // A pointer write also looks up the child's replica for every
+            // replica it writes, the written table's own included.
+            ops.reset_stats();
+            ops.set_pte(
+                &mut ctx,
+                parent,
+                0,
+                Pte::new(child, PteFlags::table_pointer()),
+            );
+            assert_eq!(ops.stats().replica_ring_reads, others + sockets as u64);
+            assert_eq!(ops.stats().pte_writes, 1);
         }
     }
 

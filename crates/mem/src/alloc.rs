@@ -5,22 +5,32 @@
 //! allocation, the mode page-table replication uses) or go through a
 //! [`PlacementPolicy`](crate::PlacementPolicy) via
 //! [`PolicyEngine`](crate::PolicyEngine).
+//!
+//! Frames are handed out from a per-socket bump pointer and a free list.
+//! Which frames are currently allocated is one bit per frame, kept only for
+//! the prefix of the socket's range the bump pointer has passed: allocation,
+//! free and the membership test are O(1), and cloning an allocator copies
+//! one bit per frame ever handed out (plus the free lists).
 
 use crate::error::MemError;
 use crate::fragmentation::FragmentationModel;
 use crate::frame::{FrameId, FrameSpace, FRAMES_PER_HUGE_PAGE};
 use mitosis_numa::{Machine, SocketId};
-use std::collections::BTreeSet;
 
 /// Per-socket allocation state.
 #[derive(Debug, Clone)]
 struct SocketPool {
+    /// First frame of the socket's range.
+    start: u64,
     /// Next never-allocated frame (bump pointer within the socket's range).
     next: u64,
     /// End of the socket's range (exclusive).
     end: u64,
     /// Frames returned by `free` that can be reused for 4 KiB allocations.
     free_list: Vec<FrameId>,
+    /// One bit per frame of `[start, next)`, set while the frame is
+    /// allocated.  Frames at or beyond `next` were never handed out.
+    in_use: Vec<u64>,
     /// Number of frames currently allocated.
     allocated: u64,
     /// High-water mark of allocated frames.
@@ -30,6 +40,31 @@ struct SocketPool {
 impl SocketPool {
     fn free_frames(&self) -> u64 {
         (self.end - self.next) + self.free_list.len() as u64
+    }
+
+    /// Moves the bump pointer to `next`, growing the bitmap to cover it.
+    fn bump_to(&mut self, next: u64) {
+        self.next = next;
+        self.in_use
+            .resize((next - self.start).div_ceil(64) as usize, 0);
+    }
+
+    fn is_set(&self, pfn: u64) -> bool {
+        let bit = pfn - self.start;
+        self.in_use
+            .get((bit / 64) as usize)
+            .is_some_and(|word| word & (1 << (bit % 64)) != 0)
+    }
+
+    /// Sets or clears the bit of a frame the bump pointer has passed.
+    fn mark(&mut self, pfn: u64, allocated: bool) {
+        let bit = pfn - self.start;
+        let word = &mut self.in_use[(bit / 64) as usize];
+        if allocated {
+            *word |= 1 << (bit % 64);
+        } else {
+            *word &= !(1 << (bit % 64));
+        }
     }
 }
 
@@ -65,7 +100,6 @@ pub struct AllocStats {
 pub struct FrameAllocator {
     space: FrameSpace,
     pools: Vec<SocketPool>,
-    allocated: BTreeSet<FrameId>,
     fragmentation: FragmentationModel,
 }
 
@@ -81,9 +115,11 @@ impl FrameAllocator {
             .map(|s| {
                 let range = space.range_of(SocketId::new(s as u16));
                 SocketPool {
+                    start: range.start.pfn(),
                     next: range.start.pfn(),
                     end: range.end.pfn(),
                     free_list: Vec::new(),
+                    in_use: Vec::new(),
                     allocated: 0,
                     peak_allocated: 0,
                 }
@@ -92,7 +128,6 @@ impl FrameAllocator {
         FrameAllocator {
             space,
             pools,
-            allocated: BTreeSet::new(),
             fragmentation: FragmentationModel::none(),
         }
     }
@@ -100,29 +135,6 @@ impl FrameAllocator {
     /// Installs an external-fragmentation model (affects huge allocations).
     pub fn set_fragmentation(&mut self, model: FragmentationModel) {
         self.fragmentation = model;
-    }
-
-    /// Clones the allocator's per-socket bookkeeping (bump pointers, free
-    /// lists, counters, fragmentation model) but **not** the per-frame
-    /// `allocated` membership set, which dominates clone cost on populated
-    /// systems (one entry per allocated 4 KiB frame).
-    ///
-    /// The shell still serves fresh allocations correctly — the bump
-    /// pointers, free lists and counters ([`Self::total_allocated`],
-    /// [`Self::stats`]) are intact — but [`Self::is_allocated`] reports
-    /// `false` (and freeing fails) for frames allocated before the clone.
-    /// Partial replay snapshots use this when
-    /// the shardability analysis proves the run cannot fault: a run that
-    /// never allocates or frees never consults the membership set, and any
-    /// unexpected fault is caught afterwards by the demand-fault check and
-    /// re-run on a full clone.
-    pub fn clone_shell(&self) -> FrameAllocator {
-        FrameAllocator {
-            space: self.space.clone(),
-            pools: self.pools.clone(),
-            allocated: BTreeSet::new(),
-            fragmentation: self.fragmentation.clone(),
-        }
     }
 
     /// The frame space this allocator manages.
@@ -144,14 +156,14 @@ impl FrameAllocator {
             frame
         } else if pool.next < pool.end {
             let frame = FrameId::new(pool.next);
-            pool.next += 1;
+            pool.bump_to(pool.next + 1);
             frame
         } else {
             return Err(MemError::OutOfMemory { socket });
         };
+        pool.mark(frame.pfn(), true);
         pool.allocated += 1;
         pool.peak_allocated = pool.peak_allocated.max(pool.allocated);
-        self.allocated.insert(frame);
         Ok(frame)
     }
 
@@ -203,14 +215,13 @@ impl FrameAllocator {
         for pfn in pool.next..aligned {
             pool.free_list.push(FrameId::new(pfn));
         }
-        pool.next = aligned + FRAMES_PER_HUGE_PAGE;
+        pool.bump_to(aligned + FRAMES_PER_HUGE_PAGE);
+        for pfn in aligned..pool.next {
+            pool.mark(pfn, true);
+        }
         pool.allocated += FRAMES_PER_HUGE_PAGE;
         pool.peak_allocated = pool.peak_allocated.max(pool.allocated);
-        let first = FrameId::new(aligned);
-        for i in 0..FRAMES_PER_HUGE_PAGE {
-            self.allocated.insert(first.offset(i));
-        }
-        Ok(first)
+        Ok(FrameId::new(aligned))
     }
 
     /// Frees a previously allocated 4 KiB frame.
@@ -220,32 +231,46 @@ impl FrameAllocator {
     /// Returns [`MemError::NotAllocated`] if the frame is not currently
     /// allocated.
     pub fn free(&mut self, frame: FrameId) -> Result<(), MemError> {
-        if !self.allocated.remove(&frame) {
+        if !self.is_allocated(frame) {
             return Err(MemError::NotAllocated { pfn: frame.pfn() });
         }
-        let socket = self.space.socket_of(frame);
-        let pool = &mut self.pools[socket.index()];
-        pool.free_list.push(frame);
-        pool.allocated -= 1;
+        self.release(frame);
         Ok(())
     }
 
     /// Frees a 2 MiB run previously returned by [`Self::alloc_huge_on`].
+    /// The run is checked whole before any frame is freed, so a failed call
+    /// changes nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::NotAllocated`] if any frame of the run is not
-    /// currently allocated.
+    /// Returns [`MemError::NotAllocated`] naming the first frame of the run
+    /// that is not currently allocated.
     pub fn free_huge(&mut self, first: FrameId) -> Result<(), MemError> {
+        if let Some(missing) = (0..FRAMES_PER_HUGE_PAGE)
+            .map(|i| first.offset(i))
+            .find(|frame| !self.is_allocated(*frame))
+        {
+            return Err(MemError::NotAllocated { pfn: missing.pfn() });
+        }
         for i in 0..FRAMES_PER_HUGE_PAGE {
-            self.free(first.offset(i))?;
+            self.release(first.offset(i));
         }
         Ok(())
     }
 
+    /// Returns an allocated frame to its socket's free list.
+    fn release(&mut self, frame: FrameId) {
+        let pool = &mut self.pools[self.space.socket_of(frame).index()];
+        pool.mark(frame.pfn(), false);
+        pool.free_list.push(frame);
+        pool.allocated -= 1;
+    }
+
     /// Returns `true` if `frame` is currently allocated.
     pub fn is_allocated(&self, frame: FrameId) -> bool {
-        self.allocated.contains(&frame)
+        self.space.contains(frame)
+            && self.pools[self.space.socket_of(frame).index()].is_set(frame.pfn())
     }
 
     /// Number of frames currently allocated across the whole machine.
@@ -333,6 +358,31 @@ mod tests {
         for i in 0..FRAMES_PER_HUGE_PAGE {
             assert!(!alloc.is_allocated(huge.offset(i)));
         }
+    }
+
+    #[test]
+    fn failed_free_huge_changes_nothing() {
+        let mut alloc = small_allocator();
+        let socket = SocketId::new(0);
+        let huge = alloc.alloc_huge_on(socket).unwrap();
+        // A frame in the middle of the run is already free: the run as a
+        // whole is not allocated, so freeing it must be refused outright.
+        let hole = huge.offset(100);
+        alloc.free(hole).unwrap();
+        let total = alloc.total_allocated();
+        let stats = alloc.stats(socket);
+        assert_eq!(
+            alloc.free_huge(huge),
+            Err(MemError::NotAllocated { pfn: hole.pfn() })
+        );
+        assert_eq!(alloc.total_allocated(), total);
+        assert_eq!(alloc.stats(socket), stats);
+        for i in 0..FRAMES_PER_HUGE_PAGE {
+            assert_eq!(alloc.is_allocated(huge.offset(i)), i != 100);
+        }
+        // The free list holds only the hole, not the frames before it.
+        assert_eq!(alloc.alloc_on(socket).unwrap(), hole);
+        assert_eq!(alloc.stats(socket).free_frames, stats.free_frames - 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   placement, mirroring Linux/numactl allocation policies.
 //! * [`FrameTable`] — per-frame metadata (`struct page` in Linux), including
 //!   the circular replica list Mitosis threads through page-table pages
-//!   (paper §5.2, Figure 8).
+//!   (paper §5.2, Figure 8) and each frame's copy-on-write share count.
 //! * [`PageCache`] — per-socket reserved pools of frames for page-table
 //!   allocations, sized through a sysctl-like knob (paper §5.1).
 //!
@@ -41,7 +41,6 @@ mod frame;
 mod meta;
 mod page_cache;
 mod policy;
-mod refcount;
 
 pub use alloc::{AllocStats, FrameAllocator};
 pub use error::MemError;
@@ -52,4 +51,3 @@ pub use frame::{
 pub use meta::{FrameKind, FrameTable, PageMeta};
 pub use page_cache::PageCache;
 pub use policy::{InterleaveState, PlacementPolicy, PolicyEngine};
-pub use refcount::CowRefCounts;

@@ -6,6 +6,13 @@
 //! update intercepted at the PV-Ops layer to reach every replica in 2N memory
 //! references instead of walking N page-tables.
 //!
+//! Beside the ring link each entry carries the frame's copy-on-write share
+//! count: after a fork, parent and child map the same data frames and the
+//! count says how many mappings reference the frame.  Sharing, releasing
+//! and the "is it still shared?" test of a CoW fault are therefore one
+//! lookup of the frame's own entry, and the table keeps a running total of
+//! shared frames.
+//!
 //! The table is backed by a slot slab plus a two-level directory indexed by
 //! frame number — the same handle trick `PtStore` uses for page-table pages —
 //! instead of a hash map.  Lookups hash nothing, replica-ring hops are two
@@ -35,6 +42,9 @@ pub struct PageMeta {
     /// Next frame in the circular list of replicas of the same logical
     /// page-table page.  `None` when the page is not replicated.
     replica_next: Option<FrameId>,
+    /// Copy-on-write mappings of the frame beyond the first: 0 while a
+    /// single mapping owns it.
+    sharers: u32,
 }
 
 impl PageMeta {
@@ -43,6 +53,7 @@ impl PageMeta {
         PageMeta {
             kind,
             replica_next: None,
+            sharers: 0,
         }
     }
 
@@ -54,6 +65,11 @@ impl PageMeta {
     /// The next replica in the circular list, if the page is replicated.
     pub fn replica_next(&self) -> Option<FrameId> {
         self.replica_next
+    }
+
+    /// Number of mappings referencing the frame (1 when it is not shared).
+    pub fn references(&self) -> u32 {
+        self.sharers + 1
     }
 }
 
@@ -91,6 +107,8 @@ pub struct FrameTable {
     free: Vec<u32>,
     dir: Vec<Option<Box<[u32; CHUNK_FRAMES]>>>,
     len: usize,
+    /// Tracked frames with more than one mapping.
+    shared: usize,
 }
 
 impl FrameTable {
@@ -102,6 +120,7 @@ impl FrameTable {
             free: Vec::new(),
             dir: Vec::new(),
             len: 0,
+            shared: 0,
         }
     }
 
@@ -131,8 +150,12 @@ impl FrameTable {
 
     /// Places `meta` for `frame`, creating or replacing its slot.
     fn insert_meta(&mut self, frame: FrameId, meta: PageMeta) {
+        self.shared += usize::from(meta.sharers > 0);
         match self.slot_of(frame) {
-            Some(slot) => self.slots[slot as usize] = meta,
+            Some(slot) => {
+                let old = std::mem::replace(&mut self.slots[slot as usize], meta);
+                self.shared -= usize::from(old.sharers > 0);
+            }
             None => {
                 let slot = match self.free.pop() {
                     Some(slot) => {
@@ -162,7 +185,9 @@ impl FrameTable {
         *self.dir_entry_mut(frame) = NO_SLOT;
         self.free.push(slot);
         self.len -= 1;
-        Some(self.slots[slot as usize].clone())
+        let meta = self.slots[slot as usize].clone();
+        self.shared -= usize::from(meta.sharers > 0);
+        Some(meta)
     }
 
     /// Returns the metadata of a frame, if the frame is tracked.
@@ -244,6 +269,51 @@ impl FrameTable {
         self.iter_range(self.space.range_of(socket))
             .filter(|(_, meta)| meta.kind == kind)
             .count()
+    }
+
+    // --- Copy-on-write share counts ----------------------------------------
+
+    /// Records one additional mapping of `frame` (fork sharing a frame
+    /// between parent and child).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is untracked: every mapped data frame has an entry.
+    pub fn share(&mut self, frame: FrameId) {
+        let meta = self.get_mut(frame).expect("a shared frame must be tracked");
+        meta.sharers += 1;
+        if meta.sharers == 1 {
+            self.shared += 1;
+        }
+    }
+
+    /// Drops one mapping of `frame`; returns `true` when the caller held
+    /// the last reference and now owns the frame exclusively (and may free
+    /// or write it in place).  An untracked frame is exclusively owned.
+    pub fn release_share(&mut self, frame: FrameId) -> bool {
+        let Some(meta) = self.get_mut(frame).filter(|m| m.sharers > 0) else {
+            return true;
+        };
+        meta.sharers -= 1;
+        if meta.sharers == 0 {
+            self.shared -= 1;
+        }
+        false
+    }
+
+    /// Number of mappings referencing `frame` (1 when it is not shared).
+    pub fn references(&self, frame: FrameId) -> u32 {
+        self.get(frame).map_or(1, PageMeta::references)
+    }
+
+    /// Returns `true` when `frame` is mapped by more than one owner.
+    pub fn is_shared(&self, frame: FrameId) -> bool {
+        self.references(frame) > 1
+    }
+
+    /// Number of tracked frames currently mapped by more than one owner.
+    pub fn shared_frames(&self) -> usize {
+        self.shared
     }
 
     // --- Replica ring management (paper §5.2, Figure 8) -------------------
@@ -545,6 +615,62 @@ mod tests {
         t.link_replicas(&[a, b]);
         t.get_mut(start).unwrap().replica_next = Some(a);
         let _ = t.replica_ring(start).count();
+    }
+
+    #[test]
+    fn unshared_frames_are_exclusive() {
+        let mut t = table();
+        t.insert(FrameId::new(5), FrameKind::Data);
+        for frame in [FrameId::new(5), FrameId::new(6)] {
+            assert_eq!(t.references(frame), 1);
+            assert!(!t.is_shared(frame));
+        }
+        assert_eq!(t.shared_frames(), 0);
+        // Releasing an exclusive (or untracked) frame hands it back.
+        assert!(t.release_share(FrameId::new(5)));
+        assert!(t.release_share(FrameId::new(6)));
+    }
+
+    #[test]
+    fn share_and_release_count_down_one_owner_at_a_time() {
+        let mut t = table();
+        let frame = FrameId::new(3);
+        t.insert(frame, FrameKind::Data);
+        t.share(frame);
+        t.share(frame);
+        assert_eq!(t.references(frame), 3);
+        assert_eq!(t.get(frame).unwrap().references(), 3);
+        assert_eq!(t.shared_frames(), 1);
+        assert!(!t.release_share(frame));
+        assert_eq!(t.references(frame), 2);
+        assert!(!t.release_share(frame));
+        assert_eq!(t.references(frame), 1);
+        assert_eq!(t.shared_frames(), 0);
+        assert!(t.release_share(frame));
+    }
+
+    #[test]
+    fn shared_total_follows_insert_remove_and_slices() {
+        let mut t = table();
+        for pfn in [1u64, 2, 1500] {
+            t.insert(FrameId::new(pfn), FrameKind::Data);
+            t.share(FrameId::new(pfn));
+        }
+        assert_eq!(t.shared_frames(), 3);
+        let slice = t.clone_ranges(&[FrameRange::new(FrameId::new(0), FrameId::new(1000))]);
+        assert_eq!(slice.shared_frames(), 2);
+        assert!(slice.is_shared(FrameId::new(2)));
+        // Replacing or removing an entry drops its share count with it.
+        t.insert(FrameId::new(1), FrameKind::Data);
+        assert_eq!(t.shared_frames(), 2);
+        t.remove(FrameId::new(1500));
+        assert_eq!(t.shared_frames(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a shared frame must be tracked")]
+    fn sharing_an_untracked_frame_panics() {
+        table().share(FrameId::new(9));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Page-table entries.
 
+use crate::addr::PageSize;
 use mitosis_mem::FrameId;
 use std::fmt;
 
@@ -102,6 +103,13 @@ impl Pte {
         }
     }
 
+    /// Creates the leaf entry mapping `frame` as a page of `size`: `flags`
+    /// with the large-page bit set for anything but a 4 KiB page.
+    pub fn leaf(frame: FrameId, size: PageSize, flags: PteFlags) -> Self {
+        let huge = size != PageSize::Base4K;
+        Pte::new(frame, PteFlags { huge, ..flags })
+    }
+
     /// Returns `true` if the entry is present (valid).
     pub fn is_present(self) -> bool {
         self.flags.present
@@ -128,6 +136,18 @@ impl Pte {
             flags,
             frame: self.frame,
         }
+    }
+
+    /// Returns a copy of the entry with its protection taken from `flags`,
+    /// keeping the frame, the large-page bit and the accessed/dirty bits
+    /// (`mprotect` on a mapped page).
+    pub fn with_protection(self, flags: PteFlags) -> Pte {
+        self.with_flags(PteFlags {
+            huge: self.flags.huge,
+            accessed: self.flags.accessed,
+            dirty: self.flags.dirty,
+            ..flags
+        })
     }
 
     /// Returns a copy of the entry pointing at a different frame (same

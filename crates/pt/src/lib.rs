@@ -75,4 +75,4 @@ pub use ops::{
 };
 pub use store::{PtSlot, PtStore};
 pub use tx::{MappingTx, ShootdownPlan, ShootdownRange};
-pub use walk::{iter_leaf_mappings, translate, LeafMapping, Translation};
+pub use walk::{find_leaf, iter_leaf_mappings, translate, LeafEntry, LeafMapping, Translation};

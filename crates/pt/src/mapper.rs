@@ -8,7 +8,7 @@ use crate::addr::{Level, PageSize, VirtAddr};
 use crate::entry::{Pte, PteFlags};
 use crate::error::PtError;
 use crate::ops::{PtContext, PvOps, ReplicationSpec};
-use crate::walk::{self, LeafMapping, Translation};
+use crate::walk::{self, leaf_size, LeafMapping, Translation};
 use mitosis_mem::FrameId;
 use mitosis_numa::SocketId;
 
@@ -147,21 +147,10 @@ impl<'a> Mapper<'a> {
         let leaf_level = size.mapped_at();
         let table = self.walk_alloc(ops, ctx, addr, leaf_level, pt_socket, &repl)?;
         let index = addr.index_at(leaf_level);
-        if ops.read_pte(ctx, table, index).is_present() {
+        if ctx.store.read(table, index).is_present() {
             return Err(PtError::AlreadyMapped { addr });
         }
-        let flags = if size == PageSize::Base4K {
-            PteFlags {
-                huge: false,
-                ..flags
-            }
-        } else {
-            PteFlags {
-                huge: true,
-                ..flags
-            }
-        };
-        ops.set_pte(ctx, table, index, Pte::new(frame, flags));
+        ops.set_pte(ctx, table, index, Pte::leaf(frame, size, flags));
         Ok(())
     }
 
@@ -196,14 +185,49 @@ impl<'a> Mapper<'a> {
         flags: PteFlags,
     ) -> Result<(), PtError> {
         let (table, index, old) = self.find_leaf(ops, ctx, addr)?;
-        let flags = PteFlags {
-            huge: old.is_huge(),
-            accessed: old.flags().accessed,
-            dirty: old.flags().dirty,
-            ..flags
-        };
-        ops.set_pte(ctx, table, index, old.with_flags(flags));
+        ops.set_pte(ctx, table, index, old.with_protection(flags));
         Ok(())
+    }
+
+    /// Forks this address space into the freshly created, empty `child`:
+    /// every leaf mapping is shared copy-on-write.  A writable parent leaf
+    /// is downgraded to read-only in place (keeping its accessed/dirty bits,
+    /// consolidated across replicas) and reported to `on_downgrade`, so the
+    /// caller can invalidate its cached translation; the child maps the
+    /// same frame read-only; and the frame's share count goes up by one.
+    ///
+    /// This is one descent over the parent's base tree.  Each child table
+    /// is allocated at the first leaf beneath it, so the child gets exactly
+    /// the tables — allocated in the same order, with the same entries —
+    /// that mapping each leaf in address order would give it, without
+    /// walking either tree per leaf.
+    ///
+    /// # Errors
+    ///
+    /// Propagates page-table allocation errors; the leaves forked before
+    /// the failure stay forked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a leaf maps a frame the frame table does not track.
+    pub fn fork_into(
+        &self,
+        ops: &mut dyn PvOps,
+        ctx: &mut PtContext<'_>,
+        child: &PtRoots,
+        pt_socket: SocketId,
+        repl: ReplicationSpec,
+        on_downgrade: impl FnMut(VirtAddr, PageSize),
+    ) -> Result<(), PtError> {
+        let mut fork = ForkDescent {
+            ops,
+            ctx,
+            child: [None, None, None, Some(child.base())],
+            pt_socket,
+            repl,
+            on_downgrade,
+        };
+        fork.descend(self.roots.base(), Level::L4, 0)
     }
 
     /// Reads the leaf entry mapping `addr` through the backend, so that
@@ -218,7 +242,7 @@ impl<'a> Mapper<'a> {
         ctx: &PtContext<'_>,
         addr: VirtAddr,
     ) -> Result<Pte, PtError> {
-        let (_, _, pte) = self.find_leaf_readonly(ops, ctx, addr)?;
+        let (_, _, pte) = self.find_leaf(ops, ctx, addr)?;
         Ok(pte)
     }
 
@@ -268,7 +292,9 @@ impl<'a> Mapper<'a> {
     // ------------------------------------------------------------------
 
     /// Walks from the base root to the table at `target_level` covering
-    /// `addr`, allocating missing intermediate tables.
+    /// `addr`, allocating missing intermediate tables.  Navigation reads
+    /// the walked tables directly: presence, frame and large-page bit are
+    /// the walked table's own, whatever the backend consolidates.
     fn walk_alloc(
         &self,
         ops: &mut dyn PvOps,
@@ -282,7 +308,7 @@ impl<'a> Mapper<'a> {
         let mut level = Level::L4;
         while level != target_level {
             let index = addr.index_at(level);
-            let entry = ops.read_pte(ctx, table, index);
+            let entry = ctx.store.read(table, index);
             let next_level = level
                 .next_lower()
                 .expect("walk never descends below the leaf level");
@@ -307,35 +333,97 @@ impl<'a> Mapper<'a> {
         Ok(table)
     }
 
-    /// Finds the leaf entry covering `addr` starting from the base root.
+    /// Finds the leaf entry covering `addr` starting from the base root,
+    /// returned as read through the backend (accessed/dirty bits
+    /// consolidated across replicas).
     fn find_leaf(
         &self,
         ops: &dyn PvOps,
         ctx: &PtContext<'_>,
         addr: VirtAddr,
     ) -> Result<(FrameId, usize, Pte), PtError> {
-        self.find_leaf_readonly(ops, ctx, addr)
+        let leaf = walk::find_leaf(ctx.store, self.roots.base(), addr)
+            .ok_or(PtError::NotMapped { addr })?;
+        Ok((
+            leaf.table,
+            leaf.index,
+            ops.read_pte(ctx, leaf.table, leaf.index),
+        ))
+    }
+}
+
+/// State of one [`Mapper::fork_into`] descent.
+struct ForkDescent<'a, 'c, F> {
+    ops: &'a mut dyn PvOps,
+    ctx: &'a mut PtContext<'c>,
+    /// The child table covering the parent path being descended, per level
+    /// (index = level number − 1); `None` until a leaf beneath needs it.
+    child: [Option<FrameId>; 4],
+    pt_socket: SocketId,
+    repl: ReplicationSpec,
+    on_downgrade: F,
+}
+
+impl<F: FnMut(VirtAddr, PageSize)> ForkDescent<'_, '_, F> {
+    /// Forks every leaf beneath the parent `table` at `level`, whose first
+    /// entry maps virtual address `base`.
+    fn descend(&mut self, table: FrameId, level: Level, base: u64) -> Result<(), PtError> {
+        let slot = self.ctx.store.slot(table);
+        // Forking rewrites parent leaves but never adds or removes a parent
+        // entry, so the occupancy snapshot stays exact.
+        for index in self.ctx.store.present_indices(slot) {
+            let pte = self.ctx.store.read_at(slot, index);
+            let addr = VirtAddr::new(base + index as u64 * level.entry_coverage());
+            let frame = pte.frame().expect("present entry has a frame");
+            if level != Level::L1 && !pte.is_huge() {
+                let next = level.next_lower().expect("only L1 has no lower level");
+                self.child[usize::from(next.number() - 1)] = None;
+                self.descend(frame, next, addr.as_u64())?;
+                continue;
+            }
+            let Some(size) = leaf_size(level) else {
+                continue;
+            };
+            let readonly = PteFlags::user_readonly();
+            if pte.flags().writable {
+                let old = self.ops.read_pte(self.ctx, table, index);
+                self.ops
+                    .set_pte(self.ctx, table, index, old.with_protection(readonly));
+                (self.on_downgrade)(addr, size);
+            }
+            let child_table = self.child_table(level, addr)?;
+            self.ops.set_pte(
+                self.ctx,
+                child_table,
+                index,
+                Pte::leaf(frame, size, readonly),
+            );
+            self.ctx.frames.share(frame);
+        }
+        Ok(())
     }
 
-    fn find_leaf_readonly(
-        &self,
-        ops: &dyn PvOps,
-        ctx: &PtContext<'_>,
-        addr: VirtAddr,
-    ) -> Result<(FrameId, usize, Pte), PtError> {
-        let mut table = self.roots.base();
-        for level in Level::WALK_ORDER {
-            let index = addr.index_at(level);
-            let entry = ops.read_pte(ctx, table, index);
-            if !entry.is_present() {
-                return Err(PtError::NotMapped { addr });
-            }
-            if level == Level::L1 || entry.is_huge() {
-                return Ok((table, index, entry));
-            }
-            table = entry.frame().expect("present table entry has a frame");
+    /// The child table at `level` covering `addr`, allocating it — and any
+    /// missing ancestor — top-down and linking it into its parent table.
+    fn child_table(&mut self, level: Level, addr: VirtAddr) -> Result<FrameId, PtError> {
+        let at = usize::from(level.number() - 1);
+        if let Some(table) = self.child[at] {
+            return Ok(table);
         }
-        Err(PtError::NotMapped { addr })
+        // The root is always present, so `level` is below L4 here.
+        let above = Level::from_number(level.number() + 1);
+        let parent = self.child_table(above, addr)?;
+        let table = self
+            .ops
+            .alloc_table(self.ctx, level, self.pt_socket, &self.repl)?;
+        self.ops.set_pte(
+            self.ctx,
+            parent,
+            addr.index_at(above),
+            Pte::new(table, PteFlags::table_pointer()),
+        );
+        self.child[at] = Some(table);
+        Ok(table)
     }
 }
 

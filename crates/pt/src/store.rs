@@ -239,21 +239,24 @@ impl PtStore {
     /// the occupancy bitmap drives the iteration, so empty stretches of the
     /// table cost one popcount instead of 64 reads.
     pub fn present_at(&self, slot: PtSlot) -> impl Iterator<Item = (usize, Pte)> + '_ {
-        let table = &self.slots[slot.0 as usize];
-        table
-            .occupancy
-            .iter()
-            .enumerate()
-            .flat_map(move |(word_index, &word)| {
-                std::iter::successors((word != 0).then_some(word), |w| {
-                    let rest = w & (w - 1);
-                    (rest != 0).then_some(rest)
-                })
-                .map(move |w| {
-                    let index = (word_index << 6) | w.trailing_zeros() as usize;
-                    (index, table.entries[index])
-                })
+        let entries = &self.slots[slot.0 as usize].entries;
+        self.present_indices(slot)
+            .map(move |index| (index, entries[index]))
+    }
+
+    /// The indices of the present entries of the table behind `slot`, in
+    /// ascending order, as they were when the iterator was created: it
+    /// walks a copy of the occupancy bitmap and does not borrow the store,
+    /// so a caller may rewrite entries while iterating.
+    pub(crate) fn present_indices(&self, slot: PtSlot) -> impl Iterator<Item = usize> {
+        let occupancy = self.slots[slot.0 as usize].occupancy;
+        (0..OCC_WORDS).flat_map(move |word_index| {
+            std::iter::successors(Some(occupancy[word_index]).filter(|w| *w != 0), |w| {
+                let rest = w & (w - 1);
+                (rest != 0).then_some(rest)
             })
+            .map(move |w| (word_index << 6) | w.trailing_zeros() as usize)
+        })
     }
 
     /// Iterates over the present entries of the table in `frame` as

@@ -72,8 +72,9 @@ impl ShootdownPlan {
 /// [`evict_table`](MappingTx::evict_table) as they go; adjacent pages of the
 /// same size and address space coalesce into one [`ShootdownRange`], so a
 /// region unmap records one range rather than thousands of entries.  The
-/// engine drains the transaction with [`take_plan`](MappingTx::take_plan)
-/// and applies the plan at the next shootdown point.
+/// engine drains the transaction with [`drain_into`](MappingTx::drain_into)
+/// (or [`take_plan`](MappingTx::take_plan)) and applies the plan at the next
+/// shootdown point.
 #[derive(Debug, Clone, Default)]
 pub struct MappingTx {
     ranges: Vec<ShootdownRange>,
@@ -158,13 +159,24 @@ impl MappingTx {
         self.full_flush = true;
     }
 
-    /// Drains the transaction into a [`ShootdownPlan`], leaving it empty.
+    /// Drains the transaction into `plan`, replacing the plan's contents
+    /// and leaving the transaction empty.  The two trade buffers, so a
+    /// caller that drains into the same plan every time stops allocating
+    /// once both have grown.
+    pub fn drain_into(&mut self, plan: &mut ShootdownPlan) {
+        plan.ranges.clear();
+        plan.tables.clear();
+        std::mem::swap(&mut self.ranges, &mut plan.ranges);
+        std::mem::swap(&mut self.tables, &mut plan.tables);
+        plan.full_flush = std::mem::replace(&mut self.full_flush, false);
+    }
+
+    /// Drains the transaction into a new [`ShootdownPlan`], leaving it
+    /// empty.
     pub fn take_plan(&mut self) -> ShootdownPlan {
-        ShootdownPlan {
-            ranges: std::mem::take(&mut self.ranges),
-            tables: std::mem::take(&mut self.tables),
-            full_flush: std::mem::replace(&mut self.full_flush, false),
-        }
+        let mut plan = ShootdownPlan::default();
+        self.drain_into(&mut plan);
+        plan
     }
 }
 
@@ -230,6 +242,29 @@ mod tests {
         assert_eq!(plan.tables, vec![FrameId::new(9)]);
         assert!(!plan.is_empty());
         assert!(ShootdownPlan::default().is_empty());
+    }
+
+    #[test]
+    fn draining_into_a_reused_plan_matches_take_plan() {
+        let record = |tx: &mut MappingTx, page: u64| {
+            tx.invalidate_page(1, VirtAddr::new(page * 4096), PageSize::Base4K);
+            tx.evict_table(FrameId::new(page));
+        };
+        let (mut taken, mut drained) = (MappingTx::new(), MappingTx::new());
+        let mut plan = ShootdownPlan::default();
+        for round in 0..4u64 {
+            for page in [round * 10, round * 10 + 1, round * 10 + 5] {
+                record(&mut taken, page);
+                record(&mut drained, page);
+            }
+            if round == 2 {
+                taken.escalate_full();
+                drained.escalate_full();
+            }
+            drained.drain_into(&mut plan);
+            assert_eq!(plan, taken.take_plan());
+            assert!(drained.is_empty());
+        }
     }
 
     #[test]

@@ -44,34 +44,63 @@ pub struct LeafMapping {
     pub pte: Pte,
 }
 
-/// Translates `addr` by walking the radix tree rooted at `root`.
+/// A leaf entry located in software: the table and index that hold it, and
+/// the translation it produces.  Mutating paths resolve it once and then
+/// write the entry in place instead of walking the tree again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeafEntry {
+    /// The page-table page holding the entry, in the walked tree.
+    pub table: FrameId,
+    /// Index of the entry within `table`.
+    pub index: usize,
+    /// What the entry maps.
+    pub translation: Translation,
+}
+
+/// The page size a leaf entry at `level` maps; `None` at the root, which
+/// cannot hold a leaf.
+pub(crate) fn leaf_size(level: Level) -> Option<PageSize> {
+    match level {
+        Level::L1 => Some(PageSize::Base4K),
+        Level::L2 => Some(PageSize::Huge2M),
+        Level::L3 => Some(PageSize::Giant1G),
+        Level::L4 => None,
+    }
+}
+
+/// Finds the leaf entry mapping `addr` in the radix tree rooted at `root`.
 ///
 /// Returns `None` if the address is unmapped.
-pub fn translate(store: &PtStore, root: FrameId, addr: VirtAddr) -> Option<Translation> {
+pub fn find_leaf(store: &PtStore, root: FrameId, addr: VirtAddr) -> Option<LeafEntry> {
     let mut table = root;
     for level in Level::WALK_ORDER {
-        let pte = store.read_at(store.slot(table), addr.index_at(level));
+        let index = addr.index_at(level);
+        let pte = store.read_at(store.slot(table), index);
         if !pte.is_present() {
             return None;
         }
-        let is_leaf = level == Level::L1 || pte.is_huge();
-        if is_leaf {
-            let size = match level {
-                Level::L1 => PageSize::Base4K,
-                Level::L2 => PageSize::Huge2M,
-                Level::L3 => PageSize::Giant1G,
-                Level::L4 => return None,
-            };
-            return Some(Translation {
-                frame: pte.frame().expect("present leaf entry has a frame"),
-                size,
-                pte,
-                level,
+        if level == Level::L1 || pte.is_huge() {
+            return Some(LeafEntry {
+                table,
+                index,
+                translation: Translation {
+                    frame: pte.frame().expect("present leaf entry has a frame"),
+                    size: leaf_size(level)?,
+                    pte,
+                    level,
+                },
             });
         }
         table = pte.frame().expect("present table entry has a frame");
     }
     None
+}
+
+/// Translates `addr` by walking the radix tree rooted at `root`.
+///
+/// Returns `None` if the address is unmapped.
+pub fn translate(store: &PtStore, root: FrameId, addr: VirtAddr) -> Option<Translation> {
+    find_leaf(store, root, addr).map(|leaf| leaf.translation)
 }
 
 /// Enumerates every leaf mapping reachable from `root`, in address order.
@@ -88,11 +117,8 @@ fn collect(store: &PtStore, table: FrameId, level: Level, base: u64, out: &mut V
         let entry_base = base + (index as u64) * level.entry_coverage();
         let is_leaf = level == Level::L1 || pte.is_huge();
         if is_leaf {
-            let size = match level {
-                Level::L1 => PageSize::Base4K,
-                Level::L2 => PageSize::Huge2M,
-                Level::L3 => PageSize::Giant1G,
-                Level::L4 => continue,
+            let Some(size) = leaf_size(level) else {
+                continue;
             };
             out.push(LeafMapping {
                 addr: VirtAddr::new(entry_base),
@@ -172,6 +198,19 @@ mod tests {
             t.frame_for(VirtAddr::new(0x4020_3000)),
             FrameId::new(512 + 3)
         );
+    }
+
+    #[test]
+    fn find_leaf_names_the_holding_table_and_index() {
+        let (store, root) = build();
+        let leaf = find_leaf(&store, root, VirtAddr::new(0x4000_0abc)).unwrap();
+        assert_eq!(leaf.table, FrameId::new(3));
+        assert_eq!(leaf.index, VirtAddr::new(0x4000_0000).index_at(Level::L1));
+        assert_eq!(leaf.translation.frame, FrameId::new(100));
+        let huge = find_leaf(&store, root, VirtAddr::new(0x4021_0000)).unwrap();
+        assert_eq!(huge.table, FrameId::new(2));
+        assert_eq!(huge.translation.size, PageSize::Huge2M);
+        assert!(find_leaf(&store, root, VirtAddr::new(0x1000)).is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use mitosis::{Mitosis, MitosisError};
 use mitosis_mmu::{Mmu, MmuStats, PteCacheSet};
 use mitosis_numa::{AccessKind, CoreId, CostModel, Cycles, SocketId};
 use mitosis_obs::{IntervalSample, Observer};
-use mitosis_pt::{PageSize, VirtAddr};
+use mitosis_pt::{PageSize, ShootdownPlan, VirtAddr};
 use mitosis_vmm::{Pid, System, VmError};
 use mitosis_workloads::{AccessSource, AccessStream, InitPattern, WorkloadSpec};
 
@@ -216,6 +216,9 @@ pub struct ExecutionEngine {
     /// TLB-consistency work the most recent run performed (advisory; not
     /// part of [`RunMetrics`] and not carried across checkpoints).
     shootdowns: ShootdownStats,
+    /// The plan each copy-on-write break's shootdown is drained into,
+    /// reused so that faults allocate nothing.
+    fault_plan: ShootdownPlan,
 }
 
 impl ExecutionEngine {
@@ -228,6 +231,7 @@ impl ExecutionEngine {
             observer: Observer::none(),
             obs_track: 0,
             shootdowns: ShootdownStats::default(),
+            fault_plan: ShootdownPlan::default(),
         }
     }
 
@@ -765,9 +769,9 @@ impl ExecutionEngine {
                                         // A copy-on-write break remapped the
                                         // page (ranged mode records it):
                                         // invalidate locally before the retry.
-                                        let plan = system.take_shootdown_plan();
+                                        system.drain_shootdown_plan(&mut self.fault_plan);
                                         self.shootdowns.merge(&shootdown::apply_local(
-                                            &plan,
+                                            &self.fault_plan,
                                             mmu,
                                             &mut self.pte_caches,
                                         ));

@@ -4,7 +4,7 @@ use crate::config::{PtPlacement, ShootdownMode, ThpMode, VmmConfig};
 use crate::error::VmError;
 use crate::process::{AddressSpace, Pid, Process};
 use crate::vma::{Protection, Vma};
-use mitosis_mem::{CowRefCounts, FrameId, FrameKind, MemError};
+use mitosis_mem::{FrameId, FrameKind, FrameTable, MemError};
 use mitosis_numa::{Machine, SocketId};
 use mitosis_pt::{
     Level, Mapper, MappingTx, NativePvOps, PageSize, PageTableDump, PtEnv, Pte, PteFlags, PvOps,
@@ -125,7 +125,6 @@ pub struct System {
     processes: BTreeMap<Pid, Process>,
     config: VmmConfig,
     next_pid: u32,
-    cow: CowRefCounts,
     pending: MappingTx,
 }
 
@@ -147,7 +146,6 @@ impl System {
             processes: BTreeMap::new(),
             config: VmmConfig::stock(),
             next_pid: 1,
-            cow: CowRefCounts::new(),
             pending: MappingTx::new(),
         }
     }
@@ -165,15 +163,25 @@ impl System {
         &self.pending
     }
 
-    /// Drains the accumulated mapping mutations into a [`ShootdownPlan`]
-    /// ready to apply against the simulated TLBs.
+    /// Drains the accumulated mapping mutations into `plan`, replacing its
+    /// contents, ready to apply against the simulated TLBs.  A caller that
+    /// drains into the same plan every time allocates nothing once the
+    /// buffers have grown.
+    pub fn drain_shootdown_plan(&mut self, plan: &mut ShootdownPlan) {
+        self.pending.drain_into(plan);
+    }
+
+    /// Drains the accumulated mapping mutations into a new
+    /// [`ShootdownPlan`] ([`System::drain_shootdown_plan`] without a reused
+    /// buffer).
     pub fn take_shootdown_plan(&mut self) -> ShootdownPlan {
         self.pending.take_plan()
     }
 
-    /// The copy-on-write share table (fork bookkeeping).
-    pub fn cow_refcounts(&self) -> &CowRefCounts {
-        &self.cow
+    /// The copy-on-write share counts (fork bookkeeping): each frame's
+    /// count lives in its [`FrameTable`] entry, beside the replica ring.
+    pub fn cow_refcounts(&self) -> &FrameTable {
+        &self.env.frames
     }
 
     /// The machine this system runs on.
@@ -367,12 +375,11 @@ impl System {
             )
         };
         let replication = process.replication();
-        let roots = process.address_space().roots().clone();
+        let base = process.address_space().roots().base();
         let mut ctx = self.env.context();
-        let mapper = Mapper::new(&roots);
 
         // Spurious fault: the page is already mapped.
-        if let Some(existing) = mapper.translate(&ctx, addr) {
+        if let Some(existing) = mitosis_pt::translate(ctx.store, base, addr) {
             return Ok(FaultOutcome {
                 addr: addr.align_down(existing.size),
                 size: existing.size,
@@ -392,11 +399,11 @@ impl System {
         if config.thp.is_enabled() && thp_eligible && fits_huge {
             let huge_addr = addr.align_down(PageSize::Huge2M);
             // The whole 2 MiB range must be unmapped.
-            let range_free = mapper.translate(&ctx, huge_addr).is_none();
+            let range_free = mitosis_pt::translate(ctx.store, base, huge_addr).is_none();
             if range_free {
                 if let Ok(frame) = process.data_policy_mut().alloc_huge_data(ctx.alloc, socket) {
                     ctx.frames.insert(frame, FrameKind::Data);
-                    match mapper.map(
+                    match Mapper::new(process.address_space().roots()).map(
                         self.ops.as_mut(),
                         &mut ctx,
                         huge_addr,
@@ -430,7 +437,7 @@ impl System {
         let page_addr = addr.align_down(PageSize::Base4K);
         let frame = process.data_policy_mut().alloc_data(ctx.alloc, socket)?;
         ctx.frames.insert(frame, FrameKind::Data);
-        mapper.map(
+        Mapper::new(process.address_space().roots()).map(
             self.ops.as_mut(),
             &mut ctx,
             page_addr,
@@ -468,25 +475,26 @@ impl System {
         if !is_write {
             return self.handle_fault(pid, addr, socket);
         }
-        let t = match self.translate(pid, addr)? {
-            None => return self.handle_fault(pid, addr, socket),
-            Some(t) => t,
+        let process = self
+            .processes
+            .get_mut(&pid)
+            .ok_or(VmError::NoSuchProcess { pid })?;
+        // One walk resolves the leaf that both branches rewrite in place.
+        let base = process.address_space().roots().base();
+        let Some(leaf) = mitosis_pt::find_leaf(&self.env.store, base, addr) else {
+            return self.handle_fault(pid, addr, socket);
         };
+        let t = leaf.translation;
+        let aligned = addr.align_down(t.size);
         if t.pte.flags().writable {
             // Spurious: another thread already resolved the fault.
             return Ok(FaultOutcome {
-                addr: addr.align_down(t.size),
+                addr: aligned,
                 size: t.size,
                 frame: t.frame,
                 already_mapped: true,
             });
         }
-        let ranged = self.config.shootdown.is_ranged();
-        let asid = Self::asid_of(pid);
-        let process = self
-            .processes
-            .get_mut(&pid)
-            .ok_or(VmError::NoSuchProcess { pid })?;
         let vma_writable = process
             .address_space()
             .vmas()
@@ -497,16 +505,13 @@ impl System {
         if !vma_writable {
             return Err(VmError::SegmentationFault { addr });
         }
-        let replication = process.replication();
-        let roots = process.address_space().roots().clone();
-        let aligned = addr.align_down(t.size);
-        let pt_socket = self.config.pt_placement.resolve(socket);
         let flags = PteFlags::user_data();
         let mut ctx = self.env.context();
-        let mapper = Mapper::new(&roots);
-        if self.cow.is_shared(t.frame) {
+        let frame = if ctx.frames.is_shared(t.frame) {
             // Still shared: copy the page to a private frame placed by the
-            // process' data policy, remap, and drop our reference.
+            // process' data policy, remap, and drop our reference.  The
+            // remap clears the entry and then writes the new one, both
+            // through PV-Ops, as an unmap followed by a map would.
             let new_frame = match t.size {
                 PageSize::Base4K => process.data_policy_mut().alloc_data(ctx.alloc, socket)?,
                 PageSize::Huge2M => process
@@ -515,41 +520,35 @@ impl System {
                 PageSize::Giant1G => return Err(VmError::InvalidArgument),
             };
             ctx.frames.insert(new_frame, FrameKind::Data);
-            mapper.unmap(self.ops.as_mut(), &mut ctx, aligned)?;
-            mapper.map(
-                self.ops.as_mut(),
+            self.ops
+                .set_pte(&mut ctx, leaf.table, leaf.index, Pte::EMPTY);
+            self.ops.set_pte(
                 &mut ctx,
-                aligned,
-                new_frame,
-                t.size,
-                flags,
-                pt_socket,
-                replication,
-            )?;
-            self.cow.release(t.frame);
-            if ranged {
-                self.pending.invalidate_page(asid, aligned, t.size);
-            }
-            Ok(FaultOutcome {
-                addr: aligned,
-                size: t.size,
-                frame: new_frame,
-                already_mapped: false,
-            })
+                leaf.table,
+                leaf.index,
+                Pte::leaf(new_frame, t.size, flags),
+            );
+            ctx.frames.release_share(t.frame);
+            new_frame
         } else {
             // The other side already copied; the frame is exclusive again
-            // and can be written in place.
-            mapper.protect(self.ops.as_mut(), &mut ctx, aligned, flags)?;
-            if ranged {
-                self.pending.invalidate_page(asid, aligned, t.size);
-            }
-            Ok(FaultOutcome {
-                addr: aligned,
-                size: t.size,
-                frame: t.frame,
-                already_mapped: false,
-            })
+            // and can be written in place, keeping the accessed/dirty bits
+            // of every replica.
+            let old = self.ops.read_pte(&ctx, leaf.table, leaf.index);
+            self.ops
+                .set_pte(&mut ctx, leaf.table, leaf.index, old.with_protection(flags));
+            t.frame
+        };
+        if self.config.shootdown.is_ranged() {
+            self.pending
+                .invalidate_page(Self::asid_of(pid), aligned, t.size);
         }
+        Ok(FaultOutcome {
+            addr: aligned,
+            size: t.size,
+            frame,
+            already_mapped: false,
+        })
     }
 
     /// Forks `parent`: the child gets its own page-table tree (honouring the
@@ -558,7 +557,8 @@ impl System {
     /// every mapped data frame copy-on-write — writable leaves are
     /// downgraded to read-only in the parent and mapped read-only in the
     /// child, so the next store from either side faults and copies
-    /// ([`System::handle_fault_access`]).
+    /// ([`System::handle_fault_access`]).  The work is one descent over the
+    /// parent's tree ([`Mapper::fork_into`]).
     ///
     /// # Errors
     ///
@@ -567,50 +567,34 @@ impl System {
     pub fn fork(&mut self, parent: Pid) -> Result<Pid, VmError> {
         let ranged = self.config.shootdown.is_ranged();
         let parent_asid = Self::asid_of(parent);
-        let (home, replication, policy, parent_roots, vmas) = {
-            let p = self.process(parent)?;
-            (
-                p.home_socket(),
-                p.replication(),
-                p.data_policy().policy(),
-                p.address_space().roots().clone(),
-                p.address_space().vmas().clone(),
-            )
-        };
+        let p = self
+            .processes
+            .get(&parent)
+            .ok_or(VmError::NoSuchProcess { pid: parent })?;
+        let (home, replication) = (p.home_socket(), p.replication());
         let child_pid = Pid::new(self.next_pid);
         self.next_pid += 1;
-        let leaves = mitosis_pt::iter_leaf_mappings(&self.env.store, parent_roots.base());
         let pt_socket = self.config.pt_placement.resolve(home);
         let mut ctx = self.env.context();
         let child_roots =
             Mapper::create_roots(self.ops.as_mut(), &mut ctx, pt_socket, replication)?;
-        let parent_mapper = Mapper::new(&parent_roots);
-        let child_mapper = Mapper::new(&child_roots);
-        let readonly = PteFlags::user_readonly();
-        for leaf in leaves {
-            if leaf.pte.flags().writable {
-                parent_mapper.protect(self.ops.as_mut(), &mut ctx, leaf.addr, readonly)?;
+        let pending = &mut self.pending;
+        Mapper::new(p.address_space().roots()).fork_into(
+            self.ops.as_mut(),
+            &mut ctx,
+            &child_roots,
+            pt_socket,
+            replication,
+            |addr, size| {
                 if ranged {
-                    self.pending
-                        .invalidate_page(parent_asid, leaf.addr, leaf.size);
+                    pending.invalidate_page(parent_asid, addr, size);
                 }
-            }
-            child_mapper.map(
-                self.ops.as_mut(),
-                &mut ctx,
-                leaf.addr,
-                leaf.frame,
-                leaf.size,
-                readonly,
-                pt_socket,
-                replication,
-            )?;
-            self.cow.share(leaf.frame);
-        }
+            },
+        )?;
         let mut child = Process::new(child_pid, home, AddressSpace::new(child_roots));
         child.set_replication(replication);
-        child.set_data_policy(policy);
-        for vma in vmas.iter() {
+        child.set_data_policy(p.data_policy().policy());
+        for vma in p.address_space().vmas().iter() {
             child.address_space_mut().vmas_mut().insert(vma.clone())?;
         }
         self.processes.insert(child_pid, child);
@@ -699,7 +683,7 @@ impl System {
         for i in 0..pages {
             let page = addr.add(i * PageSize::Base4K.bytes());
             match mapper.translate(&ctx, page) {
-                Some(t) if t.size == PageSize::Base4K && !self.cow.is_shared(t.frame) => {
+                Some(t) if t.size == PageSize::Base4K && !ctx.frames.is_shared(t.frame) => {
                     if i == 0 {
                         first_frame = Some(t.frame);
                         writable = t.pte.flags().writable;
@@ -797,7 +781,7 @@ impl System {
         let mut ctx = self.env.context();
         let mapper = Mapper::new(&roots);
         let t = match mapper.translate(&ctx, addr) {
-            Some(t) if t.size == PageSize::Huge2M && !self.cow.is_shared(t.frame) => t,
+            Some(t) if t.size == PageSize::Huge2M && !ctx.frames.is_shared(t.frame) => t,
             _ => return Ok(false),
         };
         let old = mapper.unmap(self.ops.as_mut(), &mut ctx, addr)?;
@@ -885,7 +869,7 @@ impl System {
                         if ranged {
                             self.pending.invalidate_page(asid, aligned, t.size);
                         }
-                        if self.cow.release(frame) {
+                        if ctx.frames.release_share(frame) {
                             ctx.frames.remove(frame);
                             match t.size {
                                 PageSize::Base4K => ctx.alloc.free(frame)?,
@@ -1043,7 +1027,7 @@ impl System {
         }
         // A copy-on-write shared frame is pinned until the sharing breaks:
         // migrating it would move the page out from under the other owner.
-        if self.cow.is_shared(t.frame) {
+        if ctx.frames.is_shared(t.frame) {
             return Ok(false);
         }
         let new_frame = match t.size {
@@ -1169,11 +1153,9 @@ impl System {
     /// page-table subtrees reachable from those sockets' roots
     /// ([`PtStore::clone_reachable`](mitosis_pt::PtStore::clone_reachable)),
     /// the frame metadata of those sockets' frame ranges
-    /// ([`FrameTable::clone_ranges`](mitosis_mem::FrameTable::clone_ranges))
-    /// and the allocator's bookkeeping shell
-    /// ([`FrameAllocator::clone_shell`](mitosis_mem::FrameAllocator::clone_shell)),
-    /// plus all the cheap whole-system state (machine, PV-Ops backend,
-    /// processes, VMAs, page cache).
+    /// ([`FrameTable::clone_ranges`](mitosis_mem::FrameTable::clone_ranges)),
+    /// plus all the cheap whole-system state (machine, frame allocator,
+    /// PV-Ops backend, processes, VMAs, page cache).
     ///
     /// The result is a fraction of a full [`Clone`] on populated systems,
     /// but it is only equivalent for runs that stay within the declared
@@ -1202,7 +1184,7 @@ impl System {
         let env = PtEnv {
             store: self.env.store.clone_reachable(&roots, va_ranges),
             frames: self.env.frames.clone_ranges(&frame_ranges),
-            alloc: self.env.alloc.clone_shell(),
+            alloc: self.env.alloc.clone(),
             page_cache: self.env.page_cache.clone(),
         };
         Ok(System {
@@ -1212,7 +1194,6 @@ impl System {
             processes: self.processes.clone(),
             config: self.config,
             next_pid: self.next_pid,
-            cow: self.cow.clone(),
             pending: self.pending.clone(),
         })
     }
