@@ -1,6 +1,7 @@
 //! Micro-benchmarks (ablation) of the core mechanisms: TLB hits, local vs.
 //! remote page walks, ranged shootdowns, native vs. replicated PTE updates,
-//! whole-tree replication, and fork/copy-on-write under replication.
+//! whole-tree replication, fork/copy-on-write under replication, and the
+//! host density of page tables and frame metadata.
 //!
 //! These are not paper figures; they quantify the design choices the paper
 //! argues for (2N-reference eager updates, replica-ring lookups, walk cost
@@ -384,6 +385,24 @@ fn bench_cow(c: &mut Criterion) {
     group.finish();
 }
 
+/// Host bytes the simulator spends per simulated page-table page and per
+/// tracked frame, on the populated 2-way replicated 64 MiB process of
+/// `micro/cow`.  These are exact work counters reported in the timing
+/// slot, not timings: `PtStore::host_bytes` and `FrameTable::host_bytes`
+/// count lengths, so the figures are deterministic for fixed code.
+fn report_density(_c: &mut Criterion) {
+    let (system, _, _) = replicated_process(64 << 20);
+    let env = system.pt_env();
+    criterion::report_metric(
+        "micro/density/pt_host_bytes_per_table",
+        env.store.host_bytes() as f64 / env.store.table_count() as f64,
+    );
+    criterion::report_metric(
+        "micro/density/frame_meta_bytes_per_frame",
+        env.frames.host_bytes() as f64 / env.frames.len() as f64,
+    );
+}
+
 /// Copy-on-write breaks per `micro/cow/break_fault` sample.
 const BREAKS: u64 = 512;
 
@@ -394,6 +413,7 @@ criterion_group!(
     bench_translation_throughput,
     bench_pte_updates,
     bench_tree_replication,
-    bench_cow
+    bench_cow,
+    report_density
 );
 criterion_main!(micro);

@@ -19,6 +19,8 @@
 //! array indexations, and because the directory is ordered by frame number
 //! the table can be *range-sliced*: partial replay snapshots clone only the
 //! frame ranges a lane group can touch via [`FrameTable::clone_ranges`].
+//! Each [`PageMeta`] is 16 bytes, four to a host cache line: the ring link
+//! is a frame number with a sentinel for "not replicated".
 
 use crate::frame::{FrameId, FrameRange, FrameSpace};
 use mitosis_numa::SocketId;
@@ -35,25 +37,29 @@ pub enum FrameKind {
     },
 }
 
-/// Metadata kept for one allocated physical frame.
+/// `PageMeta::replica_next` sentinel: the page is not replicated.
+const NO_REPLICA: u64 = u64::MAX;
+
+/// Metadata kept for one allocated physical frame: 16 bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageMeta {
-    kind: FrameKind,
-    /// Next frame in the circular list of replicas of the same logical
-    /// page-table page.  `None` when the page is not replicated.
-    replica_next: Option<FrameId>,
+    /// Frame number of the next frame in the circular list of replicas of
+    /// the same logical page-table page, or [`NO_REPLICA`] when the page is
+    /// not replicated.
+    replica_next: u64,
     /// Copy-on-write mappings of the frame beyond the first: 0 while a
     /// single mapping owns it.
     sharers: u32,
+    kind: FrameKind,
 }
 
 impl PageMeta {
     /// Creates metadata for a freshly allocated frame.
     pub fn new(kind: FrameKind) -> Self {
         PageMeta {
-            kind,
-            replica_next: None,
+            replica_next: NO_REPLICA,
             sharers: 0,
+            kind,
         }
     }
 
@@ -64,7 +70,14 @@ impl PageMeta {
 
     /// The next replica in the circular list, if the page is replicated.
     pub fn replica_next(&self) -> Option<FrameId> {
-        self.replica_next
+        (self.replica_next != NO_REPLICA).then(|| FrameId::new(self.replica_next))
+    }
+
+    fn set_replica_next(&mut self, next: Option<FrameId>) {
+        self.replica_next = next.map_or(NO_REPLICA, |next| {
+            assert_ne!(next.pfn(), NO_REPLICA, "replica link to the sentinel frame");
+            next.pfn()
+        });
     }
 
     /// Number of mappings referencing the frame (1 when it is not shared).
@@ -219,6 +232,19 @@ impl FrameTable {
         self.len == 0
     }
 
+    /// Host bytes the table holds for its entries: the metadata slab, the
+    /// free list and the directory.  The figure counts lengths, not
+    /// allocator capacity, so it is a deterministic function of the
+    /// operations applied.
+    pub fn host_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let chunks = self.dir.iter().flatten().count();
+        self.slots.len() * size_of::<PageMeta>()
+            + self.free.len() * size_of::<u32>()
+            + self.dir.len() * size_of::<Option<Box<[u32; CHUNK_FRAMES]>>>()
+            + chunks * size_of::<[u32; CHUNK_FRAMES]>()
+    }
+
     /// Iterates over tracked frames in `range`, in frame-number order.
     pub fn iter_range(&self, range: FrameRange) -> impl Iterator<Item = (FrameId, &PageMeta)> {
         let start = range.start.pfn();
@@ -331,7 +357,7 @@ impl FrameTable {
         for (i, &frame) in frames.iter().enumerate() {
             let next = frames[(i + 1) % frames.len()];
             let meta = self.get_mut(frame).expect("replica frame must be tracked");
-            meta.replica_next = if frames.len() == 1 { None } else { Some(next) };
+            meta.set_replica_next((frames.len() > 1).then_some(next));
         }
     }
 
@@ -340,7 +366,7 @@ impl FrameTable {
     pub fn unlink_replica(&mut self, frame: FrameId) -> Vec<FrameId> {
         let remaining: Vec<FrameId> = self.replica_ring(frame).filter(|f| *f != frame).collect();
         if let Some(meta) = self.get_mut(frame) {
-            meta.replica_next = None;
+            meta.set_replica_next(None);
         }
         if !remaining.is_empty() {
             self.link_replicas(&remaining);
@@ -364,7 +390,7 @@ impl FrameTable {
         std::iter::successors(Some(frame), move |&member| {
             let next = self
                 .get(member)
-                .and_then(|m| m.replica_next)
+                .and_then(PageMeta::replica_next)
                 .filter(|&next| next != frame)?;
             hops += 1;
             assert!(
@@ -384,7 +410,8 @@ impl FrameTable {
     /// Returns `true` if `frame` participates in a replica ring of more than
     /// one page.
     pub fn is_replicated(&self, frame: FrameId) -> bool {
-        self.get(frame).and_then(|m| m.replica_next).is_some()
+        self.get(frame)
+            .is_some_and(|m| m.replica_next != NO_REPLICA)
     }
 }
 
@@ -394,6 +421,17 @@ mod tests {
 
     fn table() -> FrameTable {
         FrameTable::new(FrameSpace::with_frames_per_socket(4, 1000))
+    }
+
+    #[test]
+    fn page_meta_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<PageMeta>(), 16);
+        let mut t = table();
+        for pfn in 0..4096 {
+            t.insert(FrameId::new(pfn), FrameKind::Data);
+        }
+        // One directory chunk covers the 4096 frames: 4 bytes a frame.
+        assert_eq!(t.host_bytes(), 4096 * (16 + 4) + 8);
     }
 
     #[test]
@@ -555,7 +593,7 @@ mod tests {
     fn reference_ring(t: &FrameTable, frame: FrameId) -> Vec<FrameId> {
         let mut out = vec![frame];
         let mut cursor = frame;
-        while let Some(next) = t.get(cursor).and_then(|m| m.replica_next) {
+        while let Some(next) = t.get(cursor).and_then(PageMeta::replica_next) {
             if next == frame {
                 break;
             }
@@ -613,7 +651,7 @@ mod tests {
         }
         // `a` and `b` form a cycle that `start` leads into but never closes.
         t.link_replicas(&[a, b]);
-        t.get_mut(start).unwrap().replica_next = Some(a);
+        t.get_mut(start).unwrap().set_replica_next(Some(a));
         let _ = t.replica_ring(start).count();
     }
 

@@ -1,4 +1,9 @@
 //! Page-table entries.
+//!
+//! A [`Pte`] is one 64-bit word in the x86-64 layout, so the simulated
+//! page tables are as dense in host memory as the tables they model: a
+//! 512-entry table is 4 KiB.  [`PteFlags`] is the unpacked view of the
+//! flag bits the simulator models.
 
 use crate::addr::PageSize;
 use mitosis_mem::FrameId;
@@ -64,43 +69,95 @@ impl PteFlags {
     }
 }
 
+/// Present bit (x86-64 bit 0).
+const PRESENT: u64 = 1 << 0;
+/// Writable bit (bit 1).
+const WRITABLE: u64 = 1 << 1;
+/// User bit (bit 2).
+const USER: u64 = 1 << 2;
+/// Accessed bit (bit 5).
+const ACCESSED: u64 = 1 << 5;
+/// Dirty bit (bit 6).
+const DIRTY: u64 = 1 << 6;
+/// Page-size bit (bit 7).
+const HUGE: u64 = 1 << 7;
+/// The flag bits [`PteFlags`] models.
+const FLAGS: u64 = PRESENT | WRITABLE | USER | ACCESSED | DIRTY | HUGE;
+/// Software-available bit 9: the entry carries a frame.  Only the
+/// in-memory word uses it; [`Pte::to_bits`] clears it.
+const CARRIED: u64 = 1 << 9;
+/// Position of the physical frame number in the entry.
+const PFN_SHIFT: u32 = 12;
+/// Mask of the architectural PFN field, bits 12–51.
+const PFN_MASK: u64 = Pte::MAX_PFN << PFN_SHIFT;
+
+impl PteFlags {
+    fn to_bits(self) -> u64 {
+        (u64::from(self.present) * PRESENT)
+            | (u64::from(self.writable) * WRITABLE)
+            | (u64::from(self.user) * USER)
+            | (u64::from(self.accessed) * ACCESSED)
+            | (u64::from(self.dirty) * DIRTY)
+            | (u64::from(self.huge) * HUGE)
+    }
+
+    fn from_bits(bits: u64) -> Self {
+        PteFlags {
+            present: bits & PRESENT != 0,
+            writable: bits & WRITABLE != 0,
+            user: bits & USER != 0,
+            accessed: bits & ACCESSED != 0,
+            dirty: bits & DIRTY != 0,
+            huge: bits & HUGE != 0,
+        }
+    }
+}
+
 /// A single page-table entry: flags plus the physical frame it refers to.
 ///
 /// A non-present entry carries no frame.  For non-leaf entries the frame is a
 /// page-table page; for leaf entries (L1, or L2/L3 with the huge bit) it is
 /// the first frame of the mapped data page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Pte {
-    flags: PteFlags,
-    frame: Option<FrameId>,
-}
+///
+/// The entry is stored as one 64-bit word in the x86-64 layout — the
+/// [`PteFlags`] bits in bits 0–7 and the frame number in bits 12–51 — plus
+/// one software-available bit (bit 9) recording whether a frame is carried,
+/// so a table of 512 entries occupies exactly 4 KiB of host memory, like
+/// the page it simulates.  Equality and hashing compare flags and frame.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Pte(u64);
 
 impl Pte {
     /// The all-zero, non-present entry.
-    pub const EMPTY: Pte = Pte {
-        flags: PteFlags {
-            present: false,
-            writable: false,
-            user: false,
-            accessed: false,
-            dirty: false,
-            huge: false,
-        },
-        frame: None,
-    };
+    pub const EMPTY: Pte = Pte(0);
+
+    /// The largest frame number an entry can refer to: the architectural
+    /// PFN field is bits 12–51, i.e. 40 bits.
+    pub const MAX_PFN: u64 = (1 << 40) - 1;
+
+    /// The carried-frame bit and PFN field for `frame`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame number does not fit the 40-bit PFN field; it
+    /// would otherwise alias a lower frame.
+    fn frame_bits(frame: FrameId) -> u64 {
+        assert!(
+            frame.pfn() <= Pte::MAX_PFN,
+            "{frame} does not fit the PFN field of a page-table entry (bits 12-51)"
+        );
+        CARRIED | (frame.pfn() << PFN_SHIFT)
+    }
 
     /// Creates a present entry referring to `frame` with the given flags.
     ///
     /// # Panics
     ///
     /// Panics if `flags.present` is false; use [`Pte::EMPTY`] for empty
-    /// entries.
+    /// entries.  Panics if the frame number exceeds [`Pte::MAX_PFN`].
     pub fn new(frame: FrameId, flags: PteFlags) -> Self {
         assert!(flags.present, "present flag required for a mapped entry");
-        Pte {
-            flags,
-            frame: Some(frame),
-        }
+        Pte(flags.to_bits() | Pte::frame_bits(frame))
     }
 
     /// Creates the leaf entry mapping `frame` as a page of `size`: `flags`
@@ -111,118 +168,93 @@ impl Pte {
     }
 
     /// Returns `true` if the entry is present (valid).
+    #[inline]
     pub fn is_present(self) -> bool {
-        self.flags.present
+        self.0 & PRESENT != 0
     }
 
     /// Returns `true` if this is a large-page leaf entry (PS bit set).
+    #[inline]
     pub fn is_huge(self) -> bool {
-        self.flags.huge
+        self.0 & HUGE != 0
     }
 
     /// The frame the entry points to, if present.
+    #[inline]
     pub fn frame(self) -> Option<FrameId> {
-        self.frame
+        (self.0 & CARRIED != 0).then(|| FrameId::new((self.0 & PFN_MASK) >> PFN_SHIFT))
     }
 
     /// The entry's flags.
+    #[inline]
     pub fn flags(self) -> PteFlags {
-        self.flags
+        PteFlags::from_bits(self.0)
     }
 
     /// Returns a copy of the entry with different flags (same frame).
     pub fn with_flags(self, flags: PteFlags) -> Pte {
-        Pte {
-            flags,
-            frame: self.frame,
-        }
+        Pte((self.0 & !FLAGS) | flags.to_bits())
     }
 
     /// Returns a copy of the entry with its protection taken from `flags`,
     /// keeping the frame, the large-page bit and the accessed/dirty bits
     /// (`mprotect` on a mapped page).
     pub fn with_protection(self, flags: PteFlags) -> Pte {
-        self.with_flags(PteFlags {
-            huge: self.flags.huge,
-            accessed: self.flags.accessed,
-            dirty: self.flags.dirty,
-            ..flags
-        })
+        const KEPT: u64 = HUGE | ACCESSED | DIRTY;
+        Pte((self.0 & !(FLAGS & !KEPT)) | (flags.to_bits() & !KEPT))
     }
 
     /// Returns a copy of the entry pointing at a different frame (same
     /// flags); used when propagating non-leaf entries to replicas, where the
     /// child pointer must be redirected to the same-socket child replica.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame number exceeds [`Pte::MAX_PFN`].
     pub fn with_frame(self, frame: FrameId) -> Pte {
-        Pte {
-            flags: self.flags,
-            frame: Some(frame),
-        }
+        Pte((self.0 & !PFN_MASK) | Pte::frame_bits(frame))
     }
 
     /// Returns a copy with the accessed bit set.
-    pub fn with_accessed(mut self) -> Pte {
-        self.flags.accessed = true;
-        self
+    pub fn with_accessed(self) -> Pte {
+        Pte(self.0 | ACCESSED)
     }
 
     /// Returns a copy with the dirty bit set.
-    pub fn with_dirty(mut self) -> Pte {
-        self.flags.dirty = true;
-        self
+    pub fn with_dirty(self) -> Pte {
+        Pte(self.0 | DIRTY)
     }
 
     /// Returns a copy with accessed and dirty bits cleared.
-    pub fn with_ad_cleared(mut self) -> Pte {
-        self.flags.accessed = false;
-        self.flags.dirty = false;
-        self
+    pub fn with_ad_cleared(self) -> Pte {
+        Pte(self.0 & !(ACCESSED | DIRTY))
     }
 
-    /// Encodes the entry into its 64-bit architectural representation.
+    /// Encodes the entry into its 64-bit architectural representation: the
+    /// stored word without the software carried-frame bit.
     pub fn to_bits(self) -> u64 {
-        let mut bits = 0u64;
-        if self.flags.present {
-            bits |= 1 << 0;
-        }
-        if self.flags.writable {
-            bits |= 1 << 1;
-        }
-        if self.flags.user {
-            bits |= 1 << 2;
-        }
-        if self.flags.accessed {
-            bits |= 1 << 5;
-        }
-        if self.flags.dirty {
-            bits |= 1 << 6;
-        }
-        if self.flags.huge {
-            bits |= 1 << 7;
-        }
-        if let Some(frame) = self.frame {
-            bits |= frame.pfn() << 12;
-        }
-        bits
+        self.0 & !CARRIED
     }
 
     /// Decodes an entry from its 64-bit architectural representation.
+    ///
+    /// A word without the present bit decodes to [`Pte::EMPTY`].  Bits the
+    /// simulator does not model (3, 4, 8–11 and 52–63) are ignored, so the
+    /// frame is read from the PFN field, bits 12–51, alone.
     pub fn from_bits(bits: u64) -> Self {
-        let present = bits & 1 != 0;
-        if !present {
+        if bits & PRESENT == 0 {
             return Pte::EMPTY;
         }
-        Pte {
-            flags: PteFlags {
-                present,
-                writable: bits & (1 << 1) != 0,
-                user: bits & (1 << 2) != 0,
-                accessed: bits & (1 << 5) != 0,
-                dirty: bits & (1 << 6) != 0,
-                huge: bits & (1 << 7) != 0,
-            },
-            frame: Some(FrameId::new(bits >> 12)),
-        }
+        Pte((bits & (FLAGS | PFN_MASK)) | CARRIED)
+    }
+}
+
+impl fmt::Debug for Pte {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pte")
+            .field("flags", &self.flags())
+            .field("frame", &self.frame())
+            .finish()
     }
 }
 
@@ -231,15 +263,16 @@ impl fmt::Display for Pte {
         if !self.is_present() {
             return write!(f, "<empty>");
         }
+        let flags = self.flags();
         write!(
             f,
             "{} [{}{}{}{}{}]",
-            self.frame.expect("present entry has a frame"),
-            if self.flags.writable { "W" } else { "-" },
-            if self.flags.user { "U" } else { "-" },
-            if self.flags.accessed { "A" } else { "-" },
-            if self.flags.dirty { "D" } else { "-" },
-            if self.flags.huge { "H" } else { "-" },
+            self.frame().expect("present entry has a frame"),
+            if flags.writable { "W" } else { "-" },
+            if flags.user { "U" } else { "-" },
+            if flags.accessed { "A" } else { "-" },
+            if flags.dirty { "D" } else { "-" },
+            if flags.huge { "H" } else { "-" },
         )
     }
 }
@@ -297,6 +330,52 @@ mod tests {
     #[should_panic(expected = "present flag required")]
     fn non_present_mapped_entry_panics() {
         let _ = Pte::new(FrameId::new(1), PteFlags::default());
+    }
+
+    #[test]
+    fn entries_are_one_word() {
+        assert_eq!(std::mem::size_of::<Pte>(), 8);
+        assert_eq!(std::mem::size_of::<[Pte; 512]>(), 4096);
+    }
+
+    #[test]
+    fn largest_pfn_roundtrips_and_high_bits_are_ignored() {
+        let pte = Pte::new(FrameId::new(Pte::MAX_PFN), PteFlags::user_data());
+        assert_eq!(pte.frame(), Some(FrameId::new(Pte::MAX_PFN)));
+        assert_eq!(pte.to_bits() >> 52, 0);
+        assert_eq!(Pte::from_bits(pte.to_bits()), pte);
+        // NX (bit 63) and the other bits outside the modelled fields do not
+        // leak into the frame or the flags.
+        let noisy = pte.to_bits() | (1 << 63) | (1 << 52) | 0b1_0001_1000;
+        assert_eq!(Pte::from_bits(noisy), pte);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the PFN field")]
+    fn oversized_pfn_panics_in_new() {
+        let _ = Pte::new(FrameId::new(Pte::MAX_PFN + 1), PteFlags::user_data());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the PFN field")]
+    fn oversized_pfn_panics_in_with_frame() {
+        let pte = Pte::new(FrameId::new(1), PteFlags::table_pointer());
+        let _ = pte.with_frame(FrameId::new(1 << 52));
+    }
+
+    #[test]
+    fn frame_and_flags_are_independent() {
+        // A non-present entry may still carry a frame and a present one
+        // none: the carried-frame bit, not the present bit, decides.
+        let unmapped =
+            Pte::new(FrameId::new(0), PteFlags::user_data()).with_flags(PteFlags::default());
+        assert!(!unmapped.is_present());
+        assert_eq!(unmapped.frame(), Some(FrameId::new(0)));
+        assert_ne!(unmapped, Pte::EMPTY);
+        let frameless = Pte::EMPTY.with_flags(PteFlags::user_data());
+        assert!(frameless.is_present());
+        assert_eq!(frameless.frame(), None);
+        assert_eq!(frameless.to_bits(), 0b111);
     }
 
     #[test]

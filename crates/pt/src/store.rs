@@ -11,15 +11,19 @@
 //! hardware walker calls it once per level for every TLB miss, millions of
 //! times per experiment — so the store avoids hashing entirely:
 //!
-//! * table contents live in a **slab** of [`TableSlot`]s (stable indices,
-//!   freed slots recycled through a free list, the 4 KiB entry boxes reused
-//!   across table lifetimes);
+//! * table contents live in one contiguous **arena** of `[Pte; 512]`
+//!   blocks indexed by slot.  A [`Pte`] is one 8-byte word, so each table
+//!   takes exactly 4 KiB of host memory, there is no per-table allocation,
+//!   and cloning the store copies the arena in one piece.  Slots are
+//!   stable; freed slots are recycled through a free list and cleared when
+//!   reused;
 //! * a **two-level radix directory** maps a frame number to its slot in two
 //!   array dereferences: `dir[pfn >> 12][pfn & 0xfff]`;
 //! * each slot carries a 512-bit **occupancy bitmap** mirroring which
 //!   entries are present, so enumerating or counting present entries
 //!   (replication, OR-consolidation, page-table dumps) is popcount-driven
-//!   and allocation-free instead of a 512-entry scan.
+//!   and allocation-free instead of a 512-entry scan.  Owners and bitmaps
+//!   live beside the arena, so a walk's entry read touches only the arena.
 //!
 //! Callers that access the same table repeatedly can resolve the frame to a
 //! [`PtSlot`] handle once and use the `*_at` accessors, skipping the
@@ -52,20 +56,15 @@ const OCC_WORDS: usize = ENTRIES_PER_TABLE / 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PtSlot(u32);
 
-/// One stored page-table page: 512 entries plus their occupancy bitmap.
+/// The entries of one page-table page.
+type Table = [Pte; ENTRIES_PER_TABLE];
+
+/// Bookkeeping of one arena slot: its owner and its occupancy bitmap.
 #[derive(Debug, Clone)]
-struct TableSlot {
+struct SlotMeta {
     /// Frame number owning this slot, or [`FREE_PFN`] for recycled slots.
     pfn: u64,
-    entries: Box<[Pte; ENTRIES_PER_TABLE]>,
     occupancy: [u64; OCC_WORDS],
-}
-
-impl TableSlot {
-    fn clear(&mut self) {
-        self.entries.fill(Pte::EMPTY);
-        self.occupancy = [0; OCC_WORDS];
-    }
 }
 
 /// Storage for the contents of every allocated page-table page.
@@ -83,7 +82,10 @@ impl TableSlot {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PtStore {
-    slots: Vec<TableSlot>,
+    /// Table contents, indexed by slot.
+    tables: Vec<Table>,
+    /// Owner and occupancy of each slot, indexed like `tables`.
+    slots: Vec<SlotMeta>,
     free: Vec<u32>,
     dir: Vec<Option<Box<[u32; DIR_FANOUT]>>>,
     live: usize,
@@ -138,21 +140,20 @@ impl PtStore {
     pub fn insert_table(&mut self, frame: FrameId) {
         let pfn = frame.pfn();
         if let Some(existing) = self.slot_of(frame) {
-            self.slots[existing.0 as usize].clear();
+            self.clear(existing.0);
             return;
         }
         let slot = match self.free.pop() {
             Some(slot) => {
-                let recycled = &mut self.slots[slot as usize];
-                recycled.clear();
-                recycled.pfn = pfn;
+                self.clear(slot);
+                self.slots[slot as usize].pfn = pfn;
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("slot count fits in u32");
-                self.slots.push(TableSlot {
+                self.tables.push([Pte::EMPTY; ENTRIES_PER_TABLE]);
+                self.slots.push(SlotMeta {
                     pfn,
-                    entries: Box::new([Pte::EMPTY; ENTRIES_PER_TABLE]),
                     occupancy: [0; OCC_WORDS],
                 });
                 slot
@@ -165,6 +166,11 @@ impl PtStore {
         let chunk = self.dir[top].get_or_insert_with(|| Box::new([NO_SLOT; DIR_FANOUT]));
         chunk[pfn as usize & (DIR_FANOUT - 1)] = slot;
         self.live += 1;
+    }
+
+    fn clear(&mut self, slot: u32) {
+        self.tables[slot as usize].fill(Pte::EMPTY);
+        self.slots[slot as usize].occupancy = [0; OCC_WORDS];
     }
 
     /// Removes a page-table page from the store.
@@ -202,7 +208,7 @@ impl PtStore {
     /// Panics if `frame` is not a page-table page or `index >= 512`.
     #[inline]
     pub fn read(&self, frame: FrameId, index: usize) -> Pte {
-        self.slots[self.resolve(frame) as usize].entries[index]
+        self.tables[self.resolve(frame) as usize][index]
     }
 
     /// Writes the entry at `index` of the table in `frame`.
@@ -218,19 +224,19 @@ impl PtStore {
     /// Reads the entry at `index` of the table behind `slot`.
     #[inline]
     pub fn read_at(&self, slot: PtSlot, index: usize) -> Pte {
-        self.slots[slot.0 as usize].entries[index]
+        self.tables[slot.0 as usize][index]
     }
 
     /// Writes the entry at `index` of the table behind `slot`.
     #[inline]
     pub fn write_at(&mut self, slot: PtSlot, index: usize, pte: Pte) {
-        let table = &mut self.slots[slot.0 as usize];
-        table.entries[index] = pte;
+        self.tables[slot.0 as usize][index] = pte;
+        let word = &mut self.slots[slot.0 as usize].occupancy[index >> 6];
         let bit = 1u64 << (index & 63);
         if pte.is_present() {
-            table.occupancy[index >> 6] |= bit;
+            *word |= bit;
         } else {
-            table.occupancy[index >> 6] &= !bit;
+            *word &= !bit;
         }
     }
 
@@ -239,7 +245,7 @@ impl PtStore {
     /// the occupancy bitmap drives the iteration, so empty stretches of the
     /// table cost one popcount instead of 64 reads.
     pub fn present_at(&self, slot: PtSlot) -> impl Iterator<Item = (usize, Pte)> + '_ {
-        let entries = &self.slots[slot.0 as usize].entries;
+        let entries = &self.tables[slot.0 as usize];
         self.present_indices(slot)
             .map(move |index| (index, entries[index]))
     }
@@ -302,7 +308,7 @@ impl PtStore {
     pub fn clone_reachable(&self, roots: &[FrameId], ranges: &[(VirtAddr, VirtAddr)]) -> PtStore {
         let mut out = PtStore::new();
         for &root in roots {
-            self.copy_subtree(root, Level::L4, VirtAddr::new(0), ranges, &mut out);
+            self.copy_subtree(root, Level::L4, 0, ranges, &mut out);
         }
         out
     }
@@ -311,7 +317,7 @@ impl PtStore {
         &self,
         frame: FrameId,
         level: Level,
-        base: VirtAddr,
+        base: u64,
         ranges: &[(VirtAddr, VirtAddr)],
         out: &mut PtStore,
     ) {
@@ -333,17 +339,33 @@ impl PtStore {
             if pte.is_huge() {
                 continue; // leaf at this level, nothing below
             }
-            let span_start = base.add(index as u64 * level.entry_coverage());
-            let span_end = span_start.add(level.entry_coverage());
-            let wanted = ranges.iter().any(|(start, end)| {
-                start.as_u64() < span_end.as_u64() && span_start.as_u64() < end.as_u64()
-            });
+            // Plain integers: the span of the last L4 entry ends at 2^48,
+            // one past the largest virtual address.
+            let span_start = base + index as u64 * level.entry_coverage();
+            let span_end = span_start + level.entry_coverage();
+            let wanted = ranges
+                .iter()
+                .any(|(start, end)| start.as_u64() < span_end && span_start < end.as_u64());
             if wanted {
                 if let Some(child) = pte.frame() {
                     self.copy_subtree(child, lower, span_start, ranges, out);
                 }
             }
         }
+    }
+
+    /// Host bytes the store holds for its tables: the entry arena, the
+    /// per-slot owners and bitmaps, the free list and the directory.  The
+    /// figure counts lengths, not allocator capacity, so it is a
+    /// deterministic function of the operations applied.
+    pub fn host_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let chunks = self.dir.iter().flatten().count();
+        self.tables.len() * size_of::<Table>()
+            + self.slots.len() * size_of::<SlotMeta>()
+            + self.free.len() * size_of::<u32>()
+            + self.dir.len() * size_of::<Option<Box<[u32; DIR_FANOUT]>>>()
+            + chunks * size_of::<[u32; DIR_FANOUT]>()
     }
 
     /// Iterates over all page-table frames currently stored.
@@ -529,6 +551,40 @@ mod tests {
         let both =
             store.clone_reachable(&[root], &[(va_a, va_a.add(4096)), (va_b, va_b.add(4096))]);
         assert_eq!(both.table_count(), 6);
+    }
+
+    #[test]
+    fn clone_reachable_covers_the_last_l4_entry() {
+        use crate::addr::{Level, VirtAddr};
+        let mut store = PtStore::new();
+        let (root, l3) = (FrameId::new(1), FrameId::new(2));
+        store.insert_table(root);
+        store.insert_table(l3);
+        store.write(root, 511, Pte::new(l3, PteFlags::table_pointer()));
+        let top = VirtAddr::new((1 << 48) - Level::L3.entry_coverage());
+        let slice = store.clone_reachable(&[root], &[(top, top.add(4096))]);
+        assert!(slice.contains(l3));
+    }
+
+    #[test]
+    fn host_bytes_are_four_kib_per_table_plus_bookkeeping() {
+        let mut store = PtStore::new();
+        let empty = store.host_bytes();
+        for pfn in 0..64u64 {
+            store.insert_table(FrameId::new(pfn));
+        }
+        let chunk = std::mem::size_of::<[u32; DIR_FANOUT]>();
+        let per_table = (store.host_bytes() - empty - chunk) / 64;
+        assert_eq!(per_table, 4096 + std::mem::size_of::<SlotMeta>());
+        // Removing a table keeps its arena block for reuse; the free list
+        // grows by one slot index, and recycling it adds nothing.
+        let before = store.host_bytes();
+        store.remove_table(FrameId::new(3));
+        assert_eq!(store.host_bytes(), before + 4);
+        store.insert_table(FrameId::new(100));
+        assert_eq!(store.host_bytes(), before);
+        // A clone holds the same tables in the same bytes.
+        assert_eq!(store.clone().host_bytes(), before);
     }
 
     #[test]
