@@ -66,7 +66,7 @@ fn bench_walks(c: &mut Criterion) {
 
     let machine = MachineConfig::paper_testbed_scaled().build();
     let cost = machine.cost_model().clone();
-    let (mut env, roots, addrs) = build_tree(4096);
+    let (env, roots, addrs) = build_tree(4096);
 
     group.bench_function("tlb_hit", |b| {
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
@@ -77,7 +77,7 @@ fn bench_walks(c: &mut Criterion) {
             addr,
             false,
             roots.base(),
-            &mut env.store,
+            &env.store,
             &env.frames,
             &cost,
             caches.socket(SocketId::new(0)),
@@ -87,7 +87,7 @@ fn bench_walks(c: &mut Criterion) {
                 addr,
                 false,
                 roots.base(),
-                &mut env.store,
+                &env.store,
                 &env.frames,
                 &cost,
                 caches.socket(SocketId::new(0)),
@@ -106,7 +106,7 @@ fn bench_walks(c: &mut Criterion) {
                     addrs[i],
                     false,
                     roots.base(),
-                    &mut env.store,
+                    &env.store,
                     &env.frames,
                     &cost,
                     caches.socket(SocketId::new(socket)),
@@ -129,7 +129,7 @@ fn bench_shootdown(c: &mut Criterion) {
 
     let machine = MachineConfig::paper_testbed_scaled().build();
     let cost = machine.cost_model().clone();
-    let (mut env, roots, addrs) = build_tree(4096);
+    let (env, roots, addrs) = build_tree(4096);
 
     group.bench_function("ranged_page_full_tlb", |b| {
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
@@ -139,7 +139,7 @@ fn bench_shootdown(c: &mut Criterion) {
                 addr,
                 false,
                 roots.base(),
-                &mut env.store,
+                &env.store,
                 &env.frames,
                 &cost,
                 caches.socket(SocketId::new(0)),
@@ -225,7 +225,7 @@ fn bench_translation_throughput(c: &mut Criterion) {
     // full-scan eviction collapsed.  The CI smoke step (quick mode) only
     // needs the path exercised, not the full-size working set.
     let quick = std::env::var("MITOSIS_BENCH_QUICK").is_ok_and(|v| !v.is_empty());
-    let (mut env, roots, addrs) = build_tree(if quick { 20_000 } else { 200_000 });
+    let (env, roots, addrs) = build_tree(if quick { 20_000 } else { 200_000 });
 
     group.bench_function("random_4k_walks", |b| {
         let mut mmu = Mmu::new(CoreId::new(0), SocketId::new(0));
@@ -242,7 +242,7 @@ fn bench_translation_throughput(c: &mut Criterion) {
                 addr,
                 false,
                 roots.base(),
-                &mut env.store,
+                &env.store,
                 &env.frames,
                 &cost,
                 caches.socket(SocketId::new(0)),
@@ -268,7 +268,7 @@ fn bench_translation_throughput(c: &mut Criterion) {
             addr,
             false,
             roots.base(),
-            &mut env.store,
+            &env.store,
             &env.frames,
             &cost,
             caches.socket(SocketId::new(0)),

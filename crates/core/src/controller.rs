@@ -30,14 +30,6 @@ impl Mitosis {
         }
     }
 
-    /// Creates a controller with an explicit control block.
-    pub fn with_ctl(ctl: MitosisCtl) -> Self {
-        Mitosis {
-            ctl,
-            advisor: ReplicationDecision::new(),
-        }
-    }
-
     /// The sysctl-style control block.
     pub fn ctl(&self) -> MitosisCtl {
         self.ctl

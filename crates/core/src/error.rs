@@ -26,6 +26,22 @@ pub enum MitosisError {
     Pt(PtError),
     /// A physical-memory operation failed.
     Mem(MemError),
+    /// An access faulted inside a live run sharded across host threads,
+    /// whose proof said no access could.  A sharded group cannot enter the
+    /// kernel (other groups are walking the same page tables), so the run
+    /// stops here instead of handling the fault out of order.
+    ShardedFault {
+        /// Index of the simulated thread that faulted.
+        thread: usize,
+        /// Index of the faulting access in that thread's stream.
+        access: u64,
+    },
+    /// A host worker of a sharded live run panicked; its threads' results
+    /// are lost.
+    ShardWorkerPanicked {
+        /// Index of the first simulated thread the worker was running.
+        thread: usize,
+    },
 }
 
 impl fmt::Display for MitosisError {
@@ -41,6 +57,15 @@ impl fmt::Display for MitosisError {
             MitosisError::Vm(err) => write!(f, "virtual memory error: {err}"),
             MitosisError::Pt(err) => write!(f, "page-table error: {err}"),
             MitosisError::Mem(err) => write!(f, "memory error: {err}"),
+            MitosisError::ShardedFault { thread, access } => write!(
+                f,
+                "thread {thread} faulted at access {access} of a sharded live run \
+                 (the no-fault proof did not cover it)"
+            ),
+            MitosisError::ShardWorkerPanicked { thread } => write!(
+                f,
+                "the host worker running thread {thread} of a sharded live run panicked"
+            ),
         }
     }
 }

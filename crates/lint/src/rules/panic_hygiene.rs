@@ -7,7 +7,8 @@
 //! only holds for panics *inside* the `catch_unwind` scope — an
 //! `unwrap()` on the dispatch side of a worker file kills the whole
 //! session instead of one job.  The rule finds files that spawn worker
-//! threads (plus explicitly configured dispatch modules) and requires
+//! threads — `thread::spawn`, or the scoped workers of `thread::scope` —
+//! (plus explicitly configured dispatch modules) and requires
 //! every panic site in them to sit inside a `catch_unwind(...)` argument
 //! or carry a reasoned `allow`; a worker file with no `catch_unwind` at
 //! all is flagged at its spawn sites.
@@ -56,7 +57,8 @@ impl Rule for PanicHygiene {
         if !self.crates.iter().any(|c| file.in_crate(c)) {
             return;
         }
-        // `thread::spawn` outside test code marks a worker file.
+        // `thread::spawn` or `thread::scope` outside test code marks a
+        // worker file.
         let mut spawn_sites = Vec::new();
         for (index, token) in file.code_tokens() {
             if !token.is_ident("thread") || file.is_test_code(index) {
@@ -68,7 +70,7 @@ impl Rule for PanicHygiene {
                     file.next_code_token(c1 + 1),
                     Some((c2, t2)) if t2.is_punct(':') && matches!(
                         file.next_code_token(c2 + 1),
-                        Some((_, t3)) if t3.is_ident("spawn")
+                        Some((_, t3)) if t3.is_ident("spawn") || t3.is_ident("scope")
                     )
                 )
             );

@@ -301,6 +301,45 @@ fn panic_rule_flags_spawn_without_any_isolation() {
 }
 
 #[test]
+fn panic_rule_treats_scoped_workers_as_worker_code() {
+    // A `thread::scope` executor is worker code like a `thread::spawn`
+    // pool: without catch_unwind its scope site is flagged, and with it
+    // every panic outside the isolated closure still is.
+    let fx = Fixture::new();
+    fx.write(
+        "crates/sim/src/shard.rs",
+        "pub fn run(units: Vec<Unit>) {\n\
+         \x20   std::thread::scope(|s| {\n\
+         \x20       for unit in units { s.spawn(move || unit.run()); }\n\
+         \x20   });\n\
+         }\n",
+    );
+    fx.write(
+        "crates/sim/src/isolated.rs",
+        "pub fn run(units: Vec<Unit>) -> u32 {\n\
+         \x20   std::thread::scope(|s| {\n\
+         \x20       s.spawn(|| std::panic::catch_unwind(|| units[0].value.unwrap()));\n\
+         \x20   });\n\
+         \x20   units[0].total.expect(\"ran\")\n\
+         }\n",
+    );
+    let report = fx.run(Box::new(PanicHygiene::new(&["sim"], &[])));
+    assert_eq!(
+        lines_flagged(&report, "panic-hygiene", "crates/sim/src/shard.rs"),
+        vec![2],
+        "{}",
+        report.render_text()
+    );
+    assert_eq!(
+        lines_flagged(&report, "panic-hygiene", "crates/sim/src/isolated.rs"),
+        vec![5],
+        "the unwrap inside catch_unwind is exempt, the expect after the scope \
+         is not:\n{}",
+        report.render_text()
+    );
+}
+
+#[test]
 fn panic_rule_ignores_non_worker_files() {
     let fx = Fixture::new();
     fx.write(

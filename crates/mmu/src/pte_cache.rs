@@ -146,6 +146,15 @@ impl PteCacheSet {
         &mut self.caches[socket.index()]
     }
 
+    /// The per-socket caches themselves, in socket order, for a caller
+    /// that hands each socket's cache to its own host thread: moved out by
+    /// value, a cache runs on its thread's stack, where no other thread's
+    /// cache shares its cache lines.  Until the caller puts them back, the
+    /// set holds however many it is given.
+    pub fn caches_mut(&mut self) -> &mut Vec<PteCache> {
+        &mut self.caches
+    }
+
     /// Read-only access to one socket's cache.
     pub fn socket_ref(&self, socket: SocketId) -> &PteCache {
         &self.caches[socket.index()]

@@ -71,10 +71,11 @@ impl HardwareWalker {
     /// Performs a page walk for `addr` starting at the page table rooted at
     /// `root`, on behalf of a core on `socket`.
     ///
-    /// `store` is written to when accessed/dirty bits are set; every other
-    /// argument is a model the walk consults (paging-structure caches, the
-    /// socket's L3 page-table lines, the NUMA cost model) or a statistics
-    /// sink.
+    /// `store` is shared: the accessed/dirty update is an atomic `fetch_or`
+    /// ([`PtStore::mark_accessed_at`]), so walkers on other host threads
+    /// may walk the same store.  Every other argument is a model the walk
+    /// consults (paging-structure caches, the socket's L3 page-table lines,
+    /// the NUMA cost model) or a statistics sink.
     #[allow(clippy::too_many_arguments)]
     pub fn walk(
         &self,
@@ -82,7 +83,7 @@ impl HardwareWalker {
         root: FrameId,
         addr: VirtAddr,
         is_write: bool,
-        store: &mut PtStore,
+        store: &PtStore,
         frames: &FrameTable,
         cost: &CostModel,
         pwc: &mut PagingStructureCache,
@@ -165,12 +166,9 @@ impl HardwareWalker {
                     };
                 }
                 if self.config.set_access_dirty {
-                    let mut updated = pte.with_accessed();
-                    if is_write {
-                        updated = updated.with_dirty();
-                    }
-                    if updated != pte {
-                        store.write_at(slot, index, updated);
+                    let flags = pte.flags();
+                    if !flags.accessed || (is_write && !flags.dirty) {
+                        store.mark_accessed_at(slot, index, is_write);
                     }
                 }
                 stats.walk_cycles += cycles;
@@ -253,7 +251,7 @@ mod tests {
 
     #[test]
     fn full_walk_reads_four_levels_and_sets_accessed() {
-        let (mut store, frames, root, addr) = build(false);
+        let (store, frames, root, addr) = build(false);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1024);
@@ -263,7 +261,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -283,7 +281,7 @@ mod tests {
 
     #[test]
     fn write_walk_sets_dirty() {
-        let (mut store, frames, root, addr) = build(false);
+        let (store, frames, root, addr) = build(false);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1024);
@@ -293,7 +291,7 @@ mod tests {
             root,
             addr,
             true,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -328,7 +326,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -341,7 +339,7 @@ mod tests {
             root,
             addr,
             true,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -357,7 +355,7 @@ mod tests {
     #[test]
     fn remote_leaf_table_costs_more() {
         let run = |remote: bool| {
-            let (mut store, frames, root, addr) = build(remote);
+            let (store, frames, root, addr) = build(remote);
             let walker = HardwareWalker::new();
             let mut pwc = PagingStructureCache::paper_testbed();
             let mut pte_cache = PteCache::new(1024);
@@ -367,7 +365,7 @@ mod tests {
                 root,
                 addr,
                 false,
-                &mut store,
+                &store,
                 &frames,
                 &cost(),
                 &mut pwc,
@@ -386,7 +384,7 @@ mod tests {
 
     #[test]
     fn interference_on_the_leaf_socket_inflates_walks() {
-        let (mut store, frames, root, addr) = build(true);
+        let (store, frames, root, addr) = build(true);
         let mut cost = cost();
         cost.set_interference(Interference::on([SocketId::new(1)]).with_latency_factor(2.0));
         let walker = HardwareWalker::new();
@@ -398,7 +396,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost,
             &mut pwc,
@@ -410,7 +408,7 @@ mod tests {
 
     #[test]
     fn pwc_hit_shortens_subsequent_walks() {
-        let (mut store, frames, root, addr) = build(false);
+        let (store, frames, root, addr) = build(false);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1); // effectively no PTE cache reuse
@@ -420,7 +418,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -434,7 +432,7 @@ mod tests {
             root,
             neighbour,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -450,7 +448,7 @@ mod tests {
 
     #[test]
     fn pte_cache_hit_avoids_dram_cost() {
-        let (mut store, frames, root, addr) = build(true);
+        let (store, frames, root, addr) = build(true);
         let walker = HardwareWalker::new();
         let mut pwc = PagingStructureCache::paper_testbed();
         let mut pte_cache = PteCache::new(1024);
@@ -460,7 +458,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,
@@ -472,7 +470,7 @@ mod tests {
             root,
             addr,
             false,
-            &mut store,
+            &store,
             &frames,
             &cost(),
             &mut pwc,

@@ -247,11 +247,6 @@ impl Topology {
         self.memory_per_socket
     }
 
-    /// Total bytes of DRAM in the machine.
-    pub fn total_memory(&self) -> u64 {
-        self.memory_per_socket * self.sockets as u64
-    }
-
     /// Bytes of last-level cache per socket.
     pub fn l3_bytes_per_socket(&self) -> u64 {
         self.l3_bytes_per_socket

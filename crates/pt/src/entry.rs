@@ -173,6 +173,12 @@ impl Pte {
         self.0 & PRESENT != 0
     }
 
+    /// Returns `true` if the entry permits stores (writable bit set).
+    #[inline]
+    pub(crate) fn is_writable(self) -> bool {
+        self.0 & WRITABLE != 0
+    }
+
     /// Returns `true` if this is a large-page leaf entry (PS bit set).
     #[inline]
     pub fn is_huge(self) -> bool {
@@ -228,6 +234,19 @@ impl Pte {
     /// Returns a copy with accessed and dirty bits cleared.
     pub fn with_ad_cleared(self) -> Pte {
         Pte(self.0 & !(ACCESSED | DIRTY))
+    }
+
+    /// The in-memory word, carried-frame bit included: what the table
+    /// arena stores.
+    #[inline]
+    pub(crate) fn to_word(self) -> u64 {
+        self.0
+    }
+
+    /// The entry an arena word holds (the inverse of [`Pte::to_word`]).
+    #[inline]
+    pub(crate) fn from_word(word: u64) -> Self {
+        Pte(word)
     }
 
     /// Encodes the entry into its 64-bit architectural representation: the

@@ -246,37 +246,9 @@ impl<'a> Mapper<'a> {
         Ok(pte)
     }
 
-    /// Clears accessed/dirty bits of the leaf entry mapping `addr` in every
-    /// replica.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PtError::NotMapped`] if the address is not mapped.
-    pub fn clear_leaf_accessed_dirty(
-        &self,
-        ops: &mut dyn PvOps,
-        ctx: &mut PtContext<'_>,
-        addr: VirtAddr,
-    ) -> Result<(), PtError> {
-        let (table, index, _) = self.find_leaf(ops, ctx, addr)?;
-        ops.clear_accessed_dirty(ctx, table, index);
-        Ok(())
-    }
-
     /// Translates `addr` in software using the base root.
     pub fn translate(&self, ctx: &PtContext<'_>, addr: VirtAddr) -> Option<Translation> {
         walk::translate(ctx.store, self.roots.base(), addr)
-    }
-
-    /// Translates `addr` in software using the root installed for `socket`
-    /// (i.e. what the hardware on that socket would walk).
-    pub fn translate_from_socket(
-        &self,
-        ctx: &PtContext<'_>,
-        socket: SocketId,
-        addr: VirtAddr,
-    ) -> Option<Translation> {
-        walk::translate(ctx.store, self.roots.root_for_socket(socket), addr)
     }
 
     /// Enumerates every leaf mapping of the address space (base root).

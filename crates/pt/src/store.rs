@@ -11,12 +11,11 @@
 //! hardware walker calls it once per level for every TLB miss, millions of
 //! times per experiment — so the store avoids hashing entirely:
 //!
-//! * table contents live in one contiguous **arena** of `[Pte; 512]`
-//!   blocks indexed by slot.  A [`Pte`] is one 8-byte word, so each table
-//!   takes exactly 4 KiB of host memory, there is no per-table allocation,
-//!   and cloning the store copies the arena in one piece.  Slots are
-//!   stable; freed slots are recycled through a free list and cleared when
-//!   reused;
+//! * table contents live in one contiguous **arena** of 512-word blocks
+//!   indexed by slot.  A [`Pte`] is one 8-byte word, so each table takes
+//!   exactly 4 KiB of host memory, there is no per-table allocation, and
+//!   cloning the store copies the arena in one piece.  Slots are stable;
+//!   freed slots are recycled through a free list and cleared when reused;
 //! * a **two-level radix directory** maps a frame number to its slot in two
 //!   array dereferences: `dir[pfn >> 12][pfn & 0xfff]`;
 //! * each slot carries a 512-bit **occupancy bitmap** mirroring which
@@ -28,10 +27,21 @@
 //! Callers that access the same table repeatedly can resolve the frame to a
 //! [`PtSlot`] handle once and use the `*_at` accessors, skipping the
 //! directory on subsequent accesses.
+//!
+//! # Sharing
+//!
+//! Each entry word is an [`AtomicU64`], still 8 bytes.  Every mutator takes
+//! `&mut self` and writes through [`AtomicU64::get_mut`], except one: the
+//! hardware walker's accessed/dirty update, [`PtStore::mark_accessed_at`],
+//! is a `fetch_or` through `&self` — the locked A/D update of an x86 page
+//! walker.  Reads are `Relaxed` loads, plain loads on x86.  So concurrent
+//! walkers can share one `&PtStore`, which is how a live run sharded across
+//! socket-disjoint replicas walks them without copying the tables.
 
 use crate::addr::{Level, VirtAddr, ENTRIES_PER_TABLE};
 use crate::entry::Pte;
 use mitosis_mem::FrameId;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of directory entries per second-level chunk (covers 4096 frames,
 /// i.e. 16 MiB of physical memory per chunk).
@@ -56,8 +66,13 @@ const OCC_WORDS: usize = ENTRIES_PER_TABLE / 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PtSlot(u32);
 
-/// The entries of one page-table page.
-type Table = [Pte; ENTRIES_PER_TABLE];
+/// The entry words of one page-table page.
+type Table = [AtomicU64; ENTRIES_PER_TABLE];
+
+/// A table of empty entries.
+fn empty_table() -> Table {
+    [const { AtomicU64::new(0) }; ENTRIES_PER_TABLE]
+}
 
 /// Bookkeeping of one arena slot: its owner and its occupancy bitmap.
 #[derive(Debug, Clone)]
@@ -80,7 +95,7 @@ struct SlotMeta {
 /// store.write(FrameId::new(100), 3, Pte::new(FrameId::new(7), PteFlags::user_data()));
 /// assert!(store.read(FrameId::new(100), 3).is_present());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct PtStore {
     /// Table contents, indexed by slot.
     tables: Vec<Table>,
@@ -89,6 +104,34 @@ pub struct PtStore {
     free: Vec<u32>,
     dir: Vec<Option<Box<[u32; DIR_FANOUT]>>>,
     live: usize,
+    /// Identity of the current contents (see [`PtStore::content_id`]): 0
+    /// until asked for, reset to 0 by every `&mut` mutation, copied by
+    /// `Clone`.
+    content: AtomicU64,
+}
+
+/// Source of fresh [`PtStore::content_id`]s, unique within the process.
+static NEXT_CONTENT_ID: AtomicU64 = AtomicU64::new(1);
+
+impl Clone for PtStore {
+    fn clone(&self) -> Self {
+        PtStore {
+            tables: self
+                .tables
+                .iter()
+                .map(|table| {
+                    std::array::from_fn(|index| {
+                        AtomicU64::new(table[index].load(Ordering::Relaxed))
+                    })
+                })
+                .collect(),
+            slots: self.slots.clone(),
+            free: self.free.clone(),
+            dir: self.dir.clone(),
+            live: self.live,
+            content: AtomicU64::new(self.content_id()),
+        }
+    }
 }
 
 impl PtStore {
@@ -138,6 +181,7 @@ impl PtStore {
     /// Re-inserting an existing table clears it (matching the kernel zeroing
     /// freshly allocated page-table pages).
     pub fn insert_table(&mut self, frame: FrameId) {
+        self.mutated();
         let pfn = frame.pfn();
         if let Some(existing) = self.slot_of(frame) {
             self.clear(existing.0);
@@ -151,7 +195,7 @@ impl PtStore {
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("slot count fits in u32");
-                self.tables.push([Pte::EMPTY; ENTRIES_PER_TABLE]);
+                self.tables.push(empty_table());
                 self.slots.push(SlotMeta {
                     pfn,
                     occupancy: [0; OCC_WORDS],
@@ -169,12 +213,15 @@ impl PtStore {
     }
 
     fn clear(&mut self, slot: u32) {
-        self.tables[slot as usize].fill(Pte::EMPTY);
+        for word in &mut self.tables[slot as usize] {
+            *word.get_mut() = Pte::EMPTY.to_word();
+        }
         self.slots[slot as usize].occupancy = [0; OCC_WORDS];
     }
 
     /// Removes a page-table page from the store.
     pub fn remove_table(&mut self, frame: FrameId) {
+        self.mutated();
         let pfn = frame.pfn();
         let top = (pfn >> DIR_SHIFT) as usize;
         let Some(Some(chunk)) = self.dir.get_mut(top) else {
@@ -189,6 +236,34 @@ impl PtStore {
         self.slots[slot as usize].pfn = FREE_PFN;
         self.free.push(slot);
         self.live -= 1;
+    }
+
+    /// An identity of the store's current contents, unique within the
+    /// process: two stores with the same id hold the same tables with the
+    /// same entries, up to accessed/dirty bits.  A clone shares its
+    /// source's id; any `&mut` mutation gives the store a fresh one on the
+    /// next call.  The walker's accessed/dirty update keeps the id, so a
+    /// fact proven about presence and permissions — like the live-run
+    /// sharding proof — may be cached under it.
+    pub fn content_id(&self) -> u64 {
+        let current = self.content.load(Ordering::Relaxed);
+        if current != 0 {
+            return current;
+        }
+        let fresh = NEXT_CONTENT_ID.fetch_add(1, Ordering::Relaxed);
+        match self
+            .content
+            .compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed)
+        {
+            Ok(_) => fresh,
+            Err(raced) => raced,
+        }
+    }
+
+    /// Forgets the content id: the next [`PtStore::content_id`] is fresh.
+    #[inline]
+    fn mutated(&mut self) {
+        *self.content.get_mut() = 0;
     }
 
     /// Returns `true` if `frame` holds a page-table page.
@@ -208,7 +283,7 @@ impl PtStore {
     /// Panics if `frame` is not a page-table page or `index >= 512`.
     #[inline]
     pub fn read(&self, frame: FrameId, index: usize) -> Pte {
-        self.tables[self.resolve(frame) as usize][index]
+        self.read_at(PtSlot(self.resolve(frame)), index)
     }
 
     /// Writes the entry at `index` of the table in `frame`.
@@ -224,13 +299,14 @@ impl PtStore {
     /// Reads the entry at `index` of the table behind `slot`.
     #[inline]
     pub fn read_at(&self, slot: PtSlot, index: usize) -> Pte {
-        self.tables[slot.0 as usize][index]
+        Pte::from_word(self.tables[slot.0 as usize][index].load(Ordering::Relaxed))
     }
 
     /// Writes the entry at `index` of the table behind `slot`.
     #[inline]
     pub fn write_at(&mut self, slot: PtSlot, index: usize, pte: Pte) {
-        self.tables[slot.0 as usize][index] = pte;
+        self.mutated();
+        *self.tables[slot.0 as usize][index].get_mut() = pte.to_word();
         let word = &mut self.slots[slot.0 as usize].occupancy[index >> 6];
         let bit = 1u64 << (index & 63);
         if pte.is_present() {
@@ -240,14 +316,25 @@ impl PtStore {
         }
     }
 
+    /// Sets the accessed bit — and the dirty bit too when `dirty` — of the
+    /// entry at `index` of the table behind `slot`, through a shared
+    /// reference: one atomic `fetch_or`, like the locked A/D update of an
+    /// x86 page walker.  Presence is untouched, so the occupancy bitmap
+    /// needs no update.  Walkers racing on one entry both land their bits.
+    #[inline]
+    pub fn mark_accessed_at(&self, slot: PtSlot, index: usize, dirty: bool) {
+        let bits = Pte::EMPTY.with_accessed();
+        let bits = if dirty { bits.with_dirty() } else { bits };
+        self.tables[slot.0 as usize][index].fetch_or(bits.to_word(), Ordering::Relaxed);
+    }
+
     /// Iterates the present entries of the table behind `slot` as
     /// `(index, pte)` pairs in ascending index order, without allocating:
     /// the occupancy bitmap drives the iteration, so empty stretches of the
     /// table cost one popcount instead of 64 reads.
     pub fn present_at(&self, slot: PtSlot) -> impl Iterator<Item = (usize, Pte)> + '_ {
-        let entries = &self.tables[slot.0 as usize];
         self.present_indices(slot)
-            .map(move |index| (index, entries[index]))
+            .map(move |index| (index, self.read_at(slot, index)))
     }
 
     /// The indices of the present entries of the table behind `slot`, in
@@ -366,6 +453,81 @@ impl PtStore {
             + self.free.len() * size_of::<u32>()
             + self.dir.len() * size_of::<Option<Box<[u32; DIR_FANOUT]>>>()
             + chunks * size_of::<[u32; DIR_FANOUT]>()
+    }
+
+    /// Checks that the tree rooted at `root` maps every 4 KiB page of the
+    /// half-open range `[start, end)` — writable too when `writable` — and
+    /// that `table_ok` accepts every table the walk to those pages reads.
+    ///
+    /// This is the no-fault half of the live-run sharding proof: a walker
+    /// over a range the check accepted cannot fault.  It descends only the
+    /// entries overlapping the range, so a fully mapped range costs one
+    /// read per leaf entry.  An empty range is trivially covered.
+    pub fn covers_range(
+        &self,
+        root: FrameId,
+        start: VirtAddr,
+        end: VirtAddr,
+        writable: bool,
+        table_ok: &mut impl FnMut(FrameId) -> bool,
+    ) -> bool {
+        start.as_u64() >= end.as_u64()
+            || self.covers_subtree(
+                root,
+                Level::L4,
+                0,
+                (start.as_u64(), end.as_u64()),
+                writable,
+                table_ok,
+            )
+    }
+
+    fn covers_subtree(
+        &self,
+        table: FrameId,
+        level: Level,
+        base: u64,
+        (start, end): (u64, u64),
+        writable: bool,
+        table_ok: &mut impl FnMut(FrameId) -> bool,
+    ) -> bool {
+        let Some(slot) = self.slot_of(table) else {
+            return false;
+        };
+        if !table_ok(table) {
+            return false;
+        }
+        let coverage = level.entry_coverage();
+        let first = ((start.max(base) - base) / coverage) as usize;
+        let last = (((end - 1 - base) / coverage) as usize).min(ENTRIES_PER_TABLE - 1);
+        let leaf_ok = |pte: Pte| pte.is_present() && (!writable || pte.is_writable());
+        if level == Level::L1 {
+            // The bulk of the check: one load and mask per leaf entry.
+            return self.tables[slot.0 as usize][first..=last]
+                .iter()
+                .all(|word| leaf_ok(Pte::from_word(word.load(Ordering::Relaxed))));
+        }
+        (first..=last).all(|index| {
+            let index = index as u64;
+            let pte = self.read_at(slot, index as usize);
+            if !pte.is_present() {
+                return false;
+            }
+            if pte.is_huge() {
+                return level != Level::L4 && leaf_ok(pte);
+            }
+            match (pte.frame(), level.next_lower()) {
+                (Some(child), Some(lower)) => self.covers_subtree(
+                    child,
+                    lower,
+                    base + index * coverage,
+                    (start, end),
+                    writable,
+                    table_ok,
+                ),
+                _ => false,
+            }
+        })
     }
 
     /// Iterates over all page-table frames currently stored.
@@ -585,6 +747,86 @@ mod tests {
         assert_eq!(store.host_bytes(), before);
         // A clone holds the same tables in the same bytes.
         assert_eq!(store.clone().host_bytes(), before);
+    }
+
+    #[test]
+    fn content_id_follows_mutations_not_accessed_bits() {
+        let mut store = PtStore::new();
+        store.insert_table(FrameId::new(1));
+        let pte = Pte::new(FrameId::new(9), PteFlags::user_data());
+        store.write(FrameId::new(1), 4, pte);
+        let id = store.content_id();
+        assert_eq!(store.content_id(), id, "the id is stable while unchanged");
+        let clone = store.clone();
+        assert_eq!(clone.content_id(), id, "a clone shares the id");
+        store.mark_accessed_at(store.slot(FrameId::new(1)), 4, true);
+        assert_eq!(store.content_id(), id, "accessed/dirty updates keep it");
+        store.write(FrameId::new(1), 5, pte);
+        let written = store.content_id();
+        assert_ne!(written, id, "a write gives a fresh id");
+        assert_eq!(clone.content_id(), id, "the clone keeps its own");
+        store.insert_table(FrameId::new(2));
+        assert_ne!(store.content_id(), written);
+        let inserted = store.content_id();
+        store.remove_table(FrameId::new(2));
+        assert_ne!(store.content_id(), inserted);
+        assert_ne!(PtStore::new().content_id(), PtStore::new().content_id());
+    }
+
+    #[test]
+    fn covers_range_checks_presence_permission_and_placement() {
+        use crate::addr::{Level, VirtAddr};
+        let mut store = PtStore::new();
+        let (root, l3, l2, l1) = (
+            FrameId::new(1),
+            FrameId::new(2),
+            FrameId::new(3),
+            FrameId::new(4),
+        );
+        for f in [root, l3, l2, l1] {
+            store.insert_table(f);
+        }
+        let table = |f: FrameId| Pte::new(f, PteFlags::table_pointer());
+        let base = VirtAddr::new(Level::L2.entry_coverage());
+        store.write(root, base.index_at(Level::L4), table(l3));
+        store.write(l3, base.index_at(Level::L3), table(l2));
+        store.write(l2, base.index_at(Level::L2), table(l1));
+        for page in 0..4u64 {
+            let addr = base.add(page * 4096);
+            store.write(
+                l1,
+                addr.index_at(Level::L1),
+                Pte::new(FrameId::new(100 + page), PteFlags::user_data()),
+            );
+        }
+        // A 2 MiB leaf right after the 4 KiB table's span.
+        let huge = base.add(Level::L2.entry_coverage());
+        store.write(
+            l2,
+            huge.index_at(Level::L2),
+            Pte::leaf(
+                FrameId::new(512),
+                crate::addr::PageSize::Huge2M,
+                PteFlags::user_readonly(),
+            ),
+        );
+        let any = &mut |_: FrameId| true;
+        assert!(store.covers_range(root, base, base.add(4 * 4096), true, any));
+        assert!(!store.covers_range(root, base, base.add(5 * 4096), false, any));
+        assert!(store.covers_range(root, base.add(4096), base.add(4096), true, any));
+        // The huge leaf covers reads, not writes.
+        let huge_end = huge.add(Level::L2.entry_coverage());
+        assert!(store.covers_range(root, huge, huge_end, false, any));
+        assert!(!store.covers_range(root, huge, huge_end, true, any));
+        // A rejected table fails the check.
+        assert!(!store.covers_range(root, base, base.add(4096), false, &mut |t| t != l1));
+        store.write(
+            l1,
+            base.add(4096).index_at(Level::L1),
+            Pte::new(FrameId::new(101), PteFlags::user_readonly()),
+        );
+        assert!(store.covers_range(root, base, base.add(4 * 4096), false, any));
+        assert!(!store.covers_range(root, base, base.add(4 * 4096), true, any));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::dynamics::{apply_phase_change, PhaseSchedule};
 use crate::metrics::RunMetrics;
 use crate::params::SimParams;
+use crate::shard::{self, RunPlan, SerialReason};
 use crate::shootdown::{self, BoundaryFlush, ShootdownStats};
 use mitosis::{Mitosis, MitosisError};
 use mitosis_mmu::{Mmu, MmuStats, PteCacheSet};
@@ -12,6 +13,7 @@ use mitosis_obs::{IntervalSample, Observer};
 use mitosis_pt::{PageSize, ShootdownPlan, VirtAddr};
 use mitosis_vmm::{Pid, System, VmError};
 use mitosis_workloads::{AccessSource, AccessStream, InitPattern, WorkloadSpec};
+use std::sync::Arc;
 
 /// Placement of one simulated thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,11 +103,11 @@ pub fn data_access_cycles(
 
 /// Per-thread cycle accumulators, carried across run segments.
 #[derive(Debug, Default, Clone, Copy)]
-struct ThreadTotals {
-    compute: Cycles,
-    data: Cycles,
-    translation: Cycles,
-    demand_faults: u64,
+pub(crate) struct ThreadTotals {
+    pub(crate) compute: Cycles,
+    pub(crate) data: Cycles,
+    pub(crate) translation: Cycles,
+    pub(crate) demand_faults: u64,
 }
 
 /// Bookkeeping of the interval metrics stream across a run: the cumulative
@@ -122,22 +124,13 @@ struct IntervalState {
 /// interference toggle rewrites, the per-target-socket data-cost table
 /// derived from it, and the CR3 that replica add/drop or page-table
 /// migration retargets.  Threads refreshing at the same segment start share
-/// one cost-model clone behind the `Rc`.
-struct ThreadPhase {
-    cost: std::rc::Rc<CostModel>,
-    data_cost: Vec<Cycles>,
-    cr3: mitosis_mem::FrameId,
-}
-
-/// Owned form of [`ThreadPhase`] inside a checkpoint.  The running form
-/// shares the cost model behind an `Rc` (one clone per segment, not per
-/// thread); the checkpoint owns it by value so checkpoints are `Send` +
-/// `Sync` and can cross threads with the rest of a replay snapshot.
+/// one cost-model clone behind the `Arc`, which also lets sharded workers
+/// and checkpoints carry it across host threads.
 #[derive(Debug, Clone)]
-struct ThreadPhaseState {
-    cost: CostModel,
-    data_cost: Vec<Cycles>,
-    cr3: mitosis_mem::FrameId,
+pub(crate) struct ThreadPhase {
+    pub(crate) cost: Arc<CostModel>,
+    pub(crate) data_cost: Vec<Cycles>,
+    pub(crate) cr3: mitosis_mem::FrameId,
 }
 
 /// Saved interval-stream bookkeeping inside a checkpoint, so a resumed run
@@ -166,7 +159,7 @@ pub struct EngineCheckpoint {
     at: u64,
     mmus: Vec<Mmu>,
     totals: Vec<ThreadTotals>,
-    states: Vec<Option<ThreadPhaseState>>,
+    states: Vec<Option<ThreadPhase>>,
     pte_caches: PteCacheSet,
     interval: Option<IntervalCheckpoint>,
 }
@@ -198,6 +191,41 @@ pub enum SpanOutcome {
     Paused(EngineCheckpoint),
 }
 
+/// The translation state of a thread on `socket` at a segment start: the
+/// cost-model view (shared through `shared_cost` by every thread refreshing
+/// at the same start), the per-target-socket data-cost table and the CR3.
+fn derive_phase(
+    system: &System,
+    pid: Pid,
+    spec: &WorkloadSpec,
+    socket: SocketId,
+    shared_cost: &mut Option<Arc<CostModel>>,
+) -> Result<ThreadPhase, VmError> {
+    let cost = shared_cost
+        .get_or_insert_with(|| Arc::new(system.machine().cost_model().clone()))
+        .clone();
+    // Data-access cost depends only on (thread socket, data socket, workload
+    // bandwidth intensity), all fixed until the thread's next boundary:
+    // precompute the per-target-socket cycle table once so the inner loop
+    // charges data accesses with a single indexed load.
+    let data_cost: Vec<Cycles> = (0..system.machine().sockets())
+        .map(|to| {
+            data_access_cycles(
+                &cost,
+                socket,
+                SocketId::new(to as u16),
+                spec.bandwidth_intensity(),
+            )
+        })
+        .collect();
+    let cr3 = system.cr3_for(pid, socket)?;
+    Ok(ThreadPhase {
+        cost,
+        data_cost,
+        cr3,
+    })
+}
+
 /// Replays workload access streams against a [`System`].
 #[derive(Debug)]
 pub struct ExecutionEngine {
@@ -219,6 +247,14 @@ pub struct ExecutionEngine {
     /// The plan each copy-on-write break's shootdown is drained into,
     /// reused so that faults allocate nothing.
     fault_plan: ShootdownPlan,
+    /// Upper bound on the host workers a live run shards across.
+    live_workers: usize,
+    /// Set on replay-pool worker engines, which must never shard.
+    replay_worker: bool,
+    /// How the most recent run executed.
+    last_plan: RunPlan,
+    /// The last tree-walking verdict of the sharding proof.
+    proof_cache: Option<shard::ProofCache>,
 }
 
 impl ExecutionEngine {
@@ -232,7 +268,39 @@ impl ExecutionEngine {
             obs_track: 0,
             shootdowns: ShootdownStats::default(),
             fault_plan: ShootdownPlan::default(),
+            live_workers: shard::host_parallelism(),
+            replay_worker: false,
+            last_plan: RunPlan::Serial(SerialReason::Schedule),
+            proof_cache: None,
         }
+    }
+
+    /// How the most recent run executed: sharded across socket groups, or
+    /// serial with the first sharding-proof condition that failed (see the
+    /// [`RunPlan`] docs).  Before any run it reads
+    /// `Serial(SerialReason::Schedule)`.
+    pub fn last_plan(&self) -> RunPlan {
+        self.last_plan
+    }
+
+    /// Caps the host workers a live run may shard across; the default is
+    /// the host's available parallelism.  `1` keeps every run serial
+    /// ([`SerialReason::OneHostCpu`]).  Metrics are bit-identical whatever
+    /// the cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
+    pub fn set_live_workers(&mut self, workers: usize) {
+        assert!(workers > 0, "a live run needs at least one worker");
+        self.live_workers = workers;
+    }
+
+    /// Marks this engine as a replay-pool worker's: its runs never shard
+    /// ([`SerialReason::ReplayWorker`]), since the pool is already the
+    /// parallel layer and nesting would oversubscribe the host.
+    pub fn set_replay_worker(&mut self, replay_worker: bool) {
+        self.replay_worker = replay_worker;
     }
 
     /// TLB-consistency work performed by the most recent (or in-progress)
@@ -396,7 +464,13 @@ impl ExecutionEngine {
         )
         .map_err(|err| match err {
             MitosisError::Vm(vm) => vm,
-            other => unreachable!("empty schedule cannot raise a Mitosis error: {other}"),
+            // Re-raised: the serial loop would have panicked in the same
+            // place.
+            MitosisError::ShardWorkerPanicked { .. } => panic!("{err}"),
+            other => unreachable!(
+                "an empty schedule over the spec's own streams raises only VM errors \
+                 (the sharding proof covers every offset they yield): {other}"
+            ),
         })
     }
 
@@ -476,12 +550,23 @@ impl ExecutionEngine {
     /// the system without any local thread observing it (see
     /// [`PhaseEvent::thread`](crate::PhaseEvent)).
     ///
+    /// When the live-run sharding proof holds — no schedule, at least two
+    /// socket groups walking disjoint Mitosis replicas, a region mapped in
+    /// full — each segment's per-thread loops run concurrently, one host
+    /// worker per unit of socket groups (see [`RunPlan`] and
+    /// [`ExecutionEngine::last_plan`]).  Metrics, interval samples, final
+    /// page tables and page-table-line caches are bit-identical to the
+    /// serial run.
+    ///
     /// # Errors
     ///
     /// Propagates page-fault handling errors (demand paging during the
     /// measured phase is allowed and counted) and event application errors.
+    /// A sharded run that meets a fault its proof did not foresee (a source
+    /// yielding an offset outside the region) stops with
+    /// [`MitosisError::ShardedFault`].
     #[allow(clippy::too_many_arguments)]
-    pub fn run_with_sources_dynamic<S: AccessSource>(
+    pub fn run_with_sources_dynamic<S: AccessSource + Send>(
         &mut self,
         system: &mut System,
         mitosis: &mut Mitosis,
@@ -542,7 +627,7 @@ impl ExecutionEngine {
     ///
     /// Same conditions as [`ExecutionEngine::run_with_sources_dynamic`].
     #[allow(clippy::too_many_arguments)]
-    pub fn run_span_with_sources_dynamic<S: AccessSource>(
+    pub fn run_span_with_sources_dynamic<S: AccessSource + Send>(
         &mut self,
         system: &mut System,
         mitosis: &mut Mitosis,
@@ -585,8 +670,23 @@ impl ExecutionEngine {
                 "stop boundary must lie strictly inside the run"
             );
         }
+        // Shard or not is decided once per call: with an empty schedule
+        // nothing mutates the system between this call's segments.
+        let (plan, units) = shard::plan(
+            &shard::PlanInput {
+                system,
+                pid,
+                spec,
+                region,
+                threads,
+                schedule_empty: schedule.is_empty(),
+                max_workers: self.live_workers,
+                replay_worker: self.replay_worker,
+            },
+            &mut self.proof_cache,
+        )?;
+        self.last_plan = plan;
         let frame_space = system.pt_env().alloc.frame_space().clone();
-        let sockets = system.machine().sockets();
         let mut mmus = match resume {
             Some(checkpoint) => checkpoint.mmus.clone(),
             None => self.checkout_mmus(threads),
@@ -604,17 +704,7 @@ impl ExecutionEngine {
             None => vec![ThreadTotals::default(); threads.len()],
         };
         let mut states: Vec<Option<ThreadPhase>> = match resume {
-            Some(checkpoint) => checkpoint
-                .states
-                .iter()
-                .map(|state| {
-                    state.as_ref().map(|owned| ThreadPhase {
-                        cost: std::rc::Rc::new(owned.cost.clone()),
-                        data_cost: owned.data_cost.clone(),
-                        cr3: owned.cr3,
-                    })
-                })
-                .collect(),
+            Some(checkpoint) => checkpoint.states.clone(),
             None => (0..threads.len()).map(|_| None).collect(),
         };
 
@@ -692,114 +782,151 @@ impl ExecutionEngine {
                     // the same cost-model state: share one clone (it holds
                     // the dense precomputed cycle matrix) instead of paying
                     // one copy per thread.
-                    let mut shared_cost: Option<std::rc::Rc<CostModel>> = None;
-                    for (index, (placement, source)) in
-                        threads.iter().zip(sources.iter_mut()).enumerate()
-                    {
-                        if states[index].is_none() {
-                            let cost = shared_cost
-                                .get_or_insert_with(|| {
-                                    std::rc::Rc::new(system.machine().cost_model().clone())
-                                })
-                                .clone();
-                            // Data-access cost depends only on (thread socket,
-                            // data socket, workload bandwidth intensity), all
-                            // fixed until the thread's next boundary:
-                            // precompute the per-target-socket cycle table once
-                            // so the inner loop charges data accesses with a
-                            // single indexed load.
-                            let data_cost: Vec<Cycles> = (0..sockets)
-                                .map(|to| {
-                                    data_access_cycles(
-                                        &cost,
-                                        placement.socket,
-                                        SocketId::new(to as u16),
-                                        spec.bandwidth_intensity(),
-                                    )
-                                })
-                                .collect();
-                            let cr3 = system.cr3_for(pid, placement.socket)?;
-                            states[index] = Some(ThreadPhase {
-                                cost,
-                                data_cost,
-                                cr3,
-                            });
+                    let mut shared_cost: Option<Arc<CostModel>> = None;
+                    if !units.is_empty() {
+                        // Sharded: derive every thread's state up front (in
+                        // thread order, as the serial loop would), then run
+                        // the socket groups' access loops concurrently.
+                        for (index, placement) in threads.iter().enumerate() {
+                            if states[index].is_none() {
+                                states[index] = Some(derive_phase(
+                                    system,
+                                    pid,
+                                    spec,
+                                    placement.socket,
+                                    &mut shared_cost,
+                                )?);
+                            }
                         }
-                        let state = states[index].as_ref().expect("state derived above");
-                        let cost = &state.cost;
-                        let data_cost = &state.data_cost;
-                        let cr3 = state.cr3;
-                        let mmu = &mut mmus[index];
-                        let totals = &mut totals[index];
+                        let phases: Vec<&ThreadPhase> = states
+                            .iter()
+                            .map(|state| state.as_ref().expect("state derived above"))
+                            .collect();
+                        let env = system.pt_env();
+                        let segment = shard::Segment {
+                            store: &env.store,
+                            frames: &env.frames,
+                            frame_space: &frame_space,
+                            spec,
+                            region,
+                            threads,
+                            phases: &phases,
+                            start: segment_start,
+                            edges: &edges,
+                            sampling: interval_state.is_some(),
+                        };
+                        let caches = self.pte_caches.caches_mut();
+                        let snaps = shard::run_segment(
+                            &segment,
+                            &units,
+                            shard::SegmentState {
+                                mmus: &mut mmus,
+                                caches,
+                                totals: &mut totals,
+                                sources,
+                            },
+                        );
+                        if caches.len() < system.machine().sockets() {
+                            // A panicked worker lost its caches: start the
+                            // engine's machine state over, as a reset would.
+                            self.pte_caches = PteCacheSet::for_machine(system.machine());
+                        }
+                        let snaps = snaps?;
+                        if interval_state.is_some() {
+                            for (edge_index, edge_snap) in edge_snaps.iter_mut().enumerate() {
+                                edge_snap.extend(snaps.iter().map(|thread| thread[edge_index]));
+                            }
+                        }
+                    } else {
+                        for (index, (placement, source)) in
+                            threads.iter().zip(sources.iter_mut()).enumerate()
+                        {
+                            if states[index].is_none() {
+                                states[index] = Some(derive_phase(
+                                    system,
+                                    pid,
+                                    spec,
+                                    placement.socket,
+                                    &mut shared_cost,
+                                )?);
+                            }
+                            let state = states[index].as_ref().expect("state derived above");
+                            let cost = &state.cost;
+                            let data_cost = &state.data_cost;
+                            let cr3 = state.cr3;
+                            let mmu = &mut mmus[index];
+                            let totals = &mut totals[index];
 
-                        let mut chunk_start = segment_start;
-                        for (edge_index, &edge) in edges.iter().enumerate() {
-                            for _ in chunk_start..edge {
-                                let access = source.next_access();
-                                // Accesses are 8-byte word granular within the
-                                // footprint.
-                                let addr = VirtAddr::new(region.as_u64() + (access.offset & !0x7));
-                                totals.compute += spec.compute_cycles_per_access();
+                            let mut chunk_start = segment_start;
+                            for (edge_index, &edge) in edges.iter().enumerate() {
+                                for _ in chunk_start..edge {
+                                    let access = source.next_access();
+                                    // Accesses are 8-byte word granular within the
+                                    // footprint.
+                                    let addr =
+                                        VirtAddr::new(region.as_u64() + (access.offset & !0x7));
+                                    totals.compute += spec.compute_cycles_per_access();
 
-                                let outcome = {
-                                    let env = system.pt_env_mut();
-                                    mmu.access(
-                                        addr,
-                                        access.is_write,
-                                        cr3,
-                                        &mut env.store,
-                                        &env.frames,
-                                        cost,
-                                        self.pte_caches.socket(placement.socket),
-                                    )
-                                };
-                                totals.translation += outcome.translation_cycles;
-
-                                let frame = if outcome.fault {
-                                    // Demand paging: fault into the kernel, then
-                                    // retry.
-                                    totals.demand_faults += 1;
-                                    let fault = system.handle_fault_access(
-                                        pid,
-                                        addr,
-                                        placement.socket,
-                                        access.is_write,
-                                    )?;
-                                    if !system.pending_shootdown().is_empty() {
-                                        // A copy-on-write break remapped the
-                                        // page (ranged mode records it):
-                                        // invalidate locally before the retry.
-                                        system.drain_shootdown_plan(&mut self.fault_plan);
-                                        self.shootdowns.merge(&shootdown::apply_local(
-                                            &self.fault_plan,
-                                            mmu,
-                                            &mut self.pte_caches,
-                                        ));
-                                    }
-                                    let retry = {
-                                        let env = system.pt_env_mut();
+                                    let outcome = {
+                                        let env = system.pt_env();
                                         mmu.access(
                                             addr,
                                             access.is_write,
                                             cr3,
-                                            &mut env.store,
+                                            &env.store,
                                             &env.frames,
                                             cost,
                                             self.pte_caches.socket(placement.socket),
                                         )
                                     };
-                                    totals.translation += retry.translation_cycles;
-                                    retry.frame.unwrap_or(fault.frame)
-                                } else {
-                                    outcome.frame.expect("non-faulting access yields a frame")
-                                };
+                                    totals.translation += outcome.translation_cycles;
 
-                                let data_socket = frame_space.socket_of(frame);
-                                totals.data += data_cost[data_socket.index()];
-                            }
-                            chunk_start = edge;
-                            if interval_state.is_some() {
-                                edge_snaps[edge_index].push((*totals, *mmu.stats()));
+                                    let frame = if outcome.fault {
+                                        // Demand paging: fault into the kernel, then
+                                        // retry.
+                                        totals.demand_faults += 1;
+                                        let fault = system.handle_fault_access(
+                                            pid,
+                                            addr,
+                                            placement.socket,
+                                            access.is_write,
+                                        )?;
+                                        if !system.pending_shootdown().is_empty() {
+                                            // A copy-on-write break remapped the
+                                            // page (ranged mode records it):
+                                            // invalidate locally before the retry.
+                                            system.drain_shootdown_plan(&mut self.fault_plan);
+                                            self.shootdowns.merge(&shootdown::apply_local(
+                                                &self.fault_plan,
+                                                mmu,
+                                                &mut self.pte_caches,
+                                            ));
+                                        }
+                                        let retry = {
+                                            let env = system.pt_env();
+                                            mmu.access(
+                                                addr,
+                                                access.is_write,
+                                                cr3,
+                                                &env.store,
+                                                &env.frames,
+                                                cost,
+                                                self.pte_caches.socket(placement.socket),
+                                            )
+                                        };
+                                        totals.translation += retry.translation_cycles;
+                                        retry.frame.unwrap_or(fault.frame)
+                                    } else {
+                                        outcome.frame.expect("non-faulting access yields a frame")
+                                    };
+
+                                    let data_socket = frame_space.socket_of(frame);
+                                    totals.data += data_cost[data_socket.index()];
+                                }
+                                chunk_start = edge;
+                                if interval_state.is_some() {
+                                    edge_snaps[edge_index].push((*totals, *mmu.stats()));
+                                }
                             }
                         }
                     }
@@ -855,16 +982,7 @@ impl ExecutionEngine {
                         at: run_to,
                         mmus: mmus.clone(),
                         totals: totals.clone(),
-                        states: states
-                            .iter()
-                            .map(|state| {
-                                state.as_ref().map(|phase| ThreadPhaseState {
-                                    cost: (*phase.cost).clone(),
-                                    data_cost: phase.data_cost.clone(),
-                                    cr3: phase.cr3,
-                                })
-                            })
-                            .collect(),
+                        states: states.clone(),
                         pte_caches: self.pte_caches.clone(),
                         interval: interval_state.as_ref().map(|state| IntervalCheckpoint {
                             prev: state.prev.clone(),
@@ -887,9 +1005,7 @@ impl ExecutionEngine {
                         None => {
                             // All threads re-derive their state at the next
                             // segment start.
-                            for state in &mut states {
-                                *state = None;
-                            }
+                            states.fill(None);
                             broadcast_flush |= mutates;
                         }
                         Some(thread) if thread < threads.len() => {
@@ -1136,6 +1252,66 @@ mod tests {
             .run(&mut system, pid, &spec, region, &threads, &params)
             .unwrap();
         assert_eq!(after, baseline);
+    }
+
+    #[test]
+    fn mmu_pool_and_caches_survive_a_shard_fault() {
+        // A fault inside a sharded run stops it with a typed error, and
+        // every MMU and per-socket cache still comes back to the engine.
+        struct Stray(AccessStream, u64);
+        impl AccessSource for Stray {
+            fn next_access(&mut self) -> mitosis_workloads::Access {
+                let mut access = self.0.next_access();
+                self.1 += 1;
+                if self.1 == 3 {
+                    access.offset = u64::MAX >> 20;
+                }
+                access
+            }
+        }
+        let params = quick();
+        let mut mitosis = Mitosis::new();
+        let mut system = mitosis.install(params.machine());
+        let sockets: Vec<SocketId> = system.machine().socket_ids().collect();
+        let pid = system.create_process(sockets[0]).unwrap();
+        let spec = params.scale_workload(&suite::gups());
+        let region = system
+            .mmap(pid, spec.footprint(), MmapFlags::lazy().without_thp())
+            .unwrap();
+        let init = InitPattern::Parallel;
+        ExecutionEngine::populate(&mut system, pid, region, spec.footprint(), init, &sockets)
+            .unwrap();
+        mitosis.enable_for_process(&mut system, pid, None).unwrap();
+        let threads = ExecutionEngine::one_thread_per_socket(&system, &sockets);
+        let mut engine = ExecutionEngine::new(&system);
+        engine.set_live_workers(2);
+        let mut sources: Vec<Stray> = ExecutionEngine::thread_streams(&spec, &params, 4)
+            .into_iter()
+            .map(|stream| Stray(stream, 0))
+            .collect();
+        let error = engine
+            .run_with_sources_dynamic(
+                &mut system,
+                &mut mitosis,
+                pid,
+                &spec,
+                region,
+                &threads,
+                params.accesses_per_thread,
+                &mut sources,
+                &PhaseSchedule::new(),
+            )
+            .unwrap_err();
+        assert!(engine.last_plan().sharded());
+        assert_eq!(
+            error,
+            MitosisError::ShardedFault {
+                thread: 0,
+                access: 2
+            }
+        );
+        assert_eq!(engine.mmu_pool.len(), 4);
+        assert_eq!(engine.pte_caches.sockets(), 4);
     }
 
     #[test]

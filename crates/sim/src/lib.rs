@@ -50,6 +50,7 @@ mod migration;
 mod multisocket;
 mod params;
 mod report;
+mod shard;
 mod shootdown;
 
 pub use configs::{DataPolicyChoice, MigrationConfig, MigrationRun, MultiSocketConfig};
@@ -65,4 +66,5 @@ pub use mitosis_vmm::ShootdownMode;
 pub use multisocket::MultiSocketScenario;
 pub use params::SimParams;
 pub use report::{format_normalized_table, render_rows, NormalizedRow, ScenarioResult};
+pub use shard::{merge_groups, RunPlan, SerialReason};
 pub use shootdown::{BoundaryFlush, ShootdownStats};

@@ -126,13 +126,6 @@ impl FaultPlan {
         self
     }
 
-    /// Arms injected I/O errors on writes with the given per-call
-    /// probability.
-    pub fn with_write_io(mut self, probability: f64) -> Self {
-        self.write_io = probability.clamp(0.0, 1.0);
-        self
-    }
-
     /// Arms injected panics in lane-group workers with the given
     /// per-attempt probability.  The decision is keyed on `(group,
     /// attempt)`, so a group that panics on its first attempt may succeed

@@ -123,9 +123,10 @@ impl Drop for ReplayPool {
 
 /// The worker body: drain jobs until shutdown, keeping one warm
 /// [`TraceReplayer`] (and hence one pooled engine) for the thread's whole
-/// life.
+/// life.  Its engine never shards live runs: the pool is the parallel
+/// layer.
 fn worker_loop(shared: &PoolShared) {
-    let mut replayer = TraceReplayer::new();
+    let mut replayer = TraceReplayer::pool_worker();
     loop {
         let job = {
             let mut queue = shared

@@ -98,7 +98,12 @@ impl From<MitosisError> for ReplayError {
 }
 
 /// An [`AccessSource`] feeding a captured lane to the execution engine.
+///
+/// Aligned to 128 bytes like [`AccessStream`](mitosis_workloads::AccessStream):
+/// a sharded live run advances neighbouring cursors on different host
+/// threads.
 #[derive(Debug, Clone)]
+#[repr(align(128))]
 pub struct LaneCursor<'a> {
     accesses: &'a [Access],
     position: usize,
@@ -501,12 +506,24 @@ pub struct TraceReplayer {
     /// Track (timeline) this replayer's spans and interval samples carry —
     /// the lane-group track in parallel replay, 0 otherwise.
     track: u64,
+    /// Whether this replayer serves a replay-pool worker, whose engine
+    /// must never shard a live run (the pool is already the parallel
+    /// layer).
+    pool_worker: bool,
 }
 
 impl TraceReplayer {
     /// Creates a replayer with no pooled engine yet.
     pub fn new() -> Self {
         TraceReplayer::default()
+    }
+
+    /// The replayer of a replay-pool worker: its engine never shards.
+    pub(crate) fn pool_worker() -> Self {
+        TraceReplayer {
+            pool_worker: true,
+            ..TraceReplayer::default()
+        }
     }
 
     /// Installs the observer later replays report spans, counters and the
@@ -756,8 +773,9 @@ impl TraceReplayer {
                 engine
             }
             slot => {
-                *slot = Some((machine, ExecutionEngine::new(&system)));
-                &mut slot.as_mut().expect("just installed").1
+                let mut engine = ExecutionEngine::new(&system);
+                engine.set_replay_worker(self.pool_worker);
+                &mut slot.insert((machine, engine)).1
             }
         };
         engine.set_observer(self.observer.clone());

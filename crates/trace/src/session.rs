@@ -63,7 +63,7 @@ use crate::replay::{
 };
 use mitosis_numa::SocketId;
 use mitosis_pt::VirtAddr;
-use mitosis_sim::{Observer, RunMetrics, SimParams};
+use mitosis_sim::{merge_groups, Observer, RunMetrics, SimParams};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
@@ -734,41 +734,6 @@ pub(crate) fn socket_groups(trace: &Trace, selection: &[usize]) -> Vec<Vec<usize
     groups
 }
 
-/// Merges per-socket groups down to at most `target` units: groups are
-/// placed largest-first onto the least-loaded unit (LPT scheduling, load =
-/// lane count), socket groups are never split, and each unit's lanes are
-/// sorted ascending (group replay is order-sensitive).  Deterministic:
-/// ties break towards the lower group / unit index, and the returned units
-/// are ordered by their first lane.
-fn merge_groups(groups: &[Vec<usize>], target: usize) -> Vec<Vec<usize>> {
-    if groups.len() <= target {
-        return groups.to_vec();
-    }
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    order.sort_by_key(|&group| (std::cmp::Reverse(groups[group].len()), group));
-    let mut loads = vec![0usize; target];
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); target];
-    for group in order {
-        let unit = (0..target).min_by_key(|&unit| loads[unit]).unwrap_or(0);
-        loads[unit] += groups[group].len();
-        members[unit].push(group);
-    }
-    let mut units: Vec<Vec<usize>> = members
-        .into_iter()
-        .filter(|member_groups| !member_groups.is_empty())
-        .map(|member_groups| {
-            let mut lanes: Vec<usize> = member_groups
-                .into_iter()
-                .flat_map(|group| groups[group].iter().copied())
-                .collect();
-            lanes.sort_unstable();
-            lanes
-        })
-        .collect();
-    units.sort_by_key(|unit| unit.first().copied());
-    units
-}
-
 /// Computes the shardability facts of `trace` once (cached with the
 /// snapshot): premap coverage and per-lane VA spans.
 fn analyse(trace: &Trace) -> ShardAnalysis {
@@ -910,49 +875,4 @@ fn unit_job(
         };
         let _ = results.send((index, report));
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_groups_respects_target_and_sorts_lanes() {
-        // 4 socket groups onto 2 units: LPT pairs the largest with the
-        // smallest; lanes within each unit come out ascending.
-        let groups = vec![vec![0, 4, 5], vec![1], vec![2, 6], vec![3]];
-        let units = merge_groups(&groups, 2);
-        assert_eq!(units.len(), 2);
-        let mut all: Vec<usize> = units.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3, 4, 5, 6]);
-        for unit in &units {
-            assert!(unit.windows(2).all(|pair| pair[0] < pair[1]));
-        }
-        // Largest group (3 lanes) sits alone-ish: its unit has 4 lanes,
-        // the other 3 — the balanced LPT split.
-        let mut sizes: Vec<usize> = units.iter().map(Vec::len).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![3, 4]);
-    }
-
-    #[test]
-    fn merge_groups_is_identity_at_or_above_group_count() {
-        let groups = vec![vec![0, 2], vec![1, 3]];
-        assert_eq!(merge_groups(&groups, 2), groups);
-        assert_eq!(merge_groups(&groups, 8), groups);
-    }
-
-    #[test]
-    fn merge_groups_never_splits_a_socket_group() {
-        let groups = vec![vec![0, 3], vec![1, 4], vec![2, 5]];
-        let units = merge_groups(&groups, 2);
-        for group in &groups {
-            let holder = units
-                .iter()
-                .filter(|unit| group.iter().any(|lane| unit.contains(lane)))
-                .count();
-            assert_eq!(holder, 1, "group {group:?} split across units");
-        }
-    }
 }

@@ -37,7 +37,13 @@ impl AccessSource for AccessStream {
 /// Two streams created from the same spec and seed produce identical
 /// sequences, which keeps experiment comparisons (e.g. Mitosis on vs. off)
 /// free of generator noise.
+///
+/// Aligned to 128 bytes (two cache lines, the adjacent-line prefetch
+/// pair): the streams of one run sit side by side in a slice, and a
+/// sharded live run advances them on different host threads, so no two
+/// may share a line.
 #[derive(Debug, Clone)]
+#[repr(align(128))]
 pub struct AccessStream {
     footprint: u64,
     pattern: crate::AccessPattern,
